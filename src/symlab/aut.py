@@ -332,6 +332,18 @@ def is_color_rigid(g: Graph, coloring: Coloring, budget: Budget | None = None) -
     return _Engine(g, _root_colors(g, coloring), budget).first_nontrivial() is None
 
 
+def pointwise_colors(n: int, vertices: Iterable[int]) -> list[int]:
+    """Coloring that individualizes ``vertices``: the i-th smallest gets color
+    i + 1, every other vertex color 0.  Its colored group is the pointwise
+    stabilizer of the set."""
+    colors = [0] * n
+    for i, v in enumerate(sorted(set(vertices))):
+        if not (0 <= v < n):
+            raise ValueError(f"vertex {v} out of range for order {n}")
+        colors[v] = i + 1
+    return colors
+
+
 def pointwise_stabilizer_is_trivial(g: Graph, vertices: Iterable[int], budget: Budget | None = None) -> bool:
     """True iff only the identity automorphism fixes every given vertex.
 
@@ -339,12 +351,7 @@ def pointwise_stabilizer_is_trivial(g: Graph, vertices: Iterable[int], budget: B
     color, everything else shares one color.
     """
     budget = budget or Budget()
-    colors = [0] * g.n
-    for i, v in enumerate(sorted(set(vertices))):
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for order {g.n}")
-        colors[v] = i + 1
-    return _Engine(g, colors, budget).first_nontrivial() is None
+    return _Engine(g, pointwise_colors(g.n, vertices), budget).first_nontrivial() is None
 
 
 def orbits_of(group: PermGroup) -> tuple[tuple[int, ...], ...]:
@@ -457,15 +464,13 @@ class AutContext:
         return PermGroup.from_generators(self.graph.n, gens, order)
 
     def pointwise_trivial(self, vertices: Iterable[int]) -> bool:
-        vs = sorted(set(vertices))
+        colors = pointwise_colors(self.graph.n, vertices)
         if self._elements is not None:
+            vs = [v for v, c in enumerate(colors) if c]
             for p in self._elements[1:]:
                 if all(p[v] == v for v in vs):
                     return False
             return True
-        colors = [0] * self.graph.n
-        for i, v in enumerate(vs):
-            colors[v] = i + 1
         return _Engine(self.graph, colors, self.budget).first_nontrivial() is None
 
     def subset_orbit(self, vertices: Iterable[int]) -> set[frozenset[int]]:

@@ -12,8 +12,23 @@ searches are complete backtracking with three prunes:
   rigid and a fresh label is available, the rest becomes one new class.
 
 Label names are canonicalized by first use, so label permutations are never
-re-explored.  Candidate classes and determining sets are scanned in
-lexicographic order, making every reported witness reproducible.
+re-explored.  The cost search tries, for each class size, the lex-least
+class of every Aut(G)-orbit in lexicographic order.
+
+A determining set is a base of Aut(G), so the determining number comes from
+an iterative-deepening base search over sorted prefixes P that extends P
+only by a vertex v above max(P) with two properties, both of which keep the
+lex-least minimum determining set S reachable:
+
+* v is moved by the pointwise stabilizer G_P.  A minimum determining set is
+  irredundant: if G_P fixed a member s of S beyond P, S minus s would
+  determine too.
+* v is least in its G_P-orbit.  If h in G_P mapped some u < v onto v, then
+  h^-1(S) would be a determining set of the same size containing P and u,
+  so lexicographically smaller than S.
+
+Sets and prefixes are visited in lexicographic order, making every reported
+witness reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .aut import AutContext, Budget, Coloring, Perm, invert
+from .aut import AutContext, Budget, Coloring, Perm, invert, pointwise_colors
 from .graphs import Graph, emit_graph6
 
 
@@ -165,15 +180,16 @@ def distinguishing_number(g: Graph, budget: int | None = None,
 
 
 def _class_candidates(ctx: AutContext, k: int) -> Iterator[tuple[int, ...]]:
-    # one candidate per orbit for small k; plain lexicographic scan otherwise
+    # the lex-least k-set of each Aut(G)-orbit, in lexicographic order; seen
+    # sets are stored as vertex bitmasks, which take far less memory than
+    # frozensets (C(16, 5) of them on Q_4)
     n = ctx.graph.n
-    if k <= 3 and not ctx.full.is_trivial:
-        seen: set[frozenset[int]] = set()
+    if not ctx.full.is_trivial:
+        seen: set[int] = set()
         for comb in itertools.combinations(range(n), k):
-            key = frozenset(comb)
-            if key in seen:
+            if sum(1 << v for v in comb) in seen:
                 continue
-            seen.update(ctx.subset_orbit(key))
+            seen.update(sum(1 << v for v in s) for s in ctx.subset_orbit(comb))
             yield comb
     else:
         yield from itertools.combinations(range(n), k)
@@ -203,21 +219,46 @@ def cost(g: Graph, d: int | None = None, budget: int | None = None,
 
 def determining_number(g: Graph, budget: int | None = None,
                        ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
-    """Size of a minimum determining set plus the lexicographically least witness."""
+    """Size of a minimum determining set plus the lexicographically least witness.
+
+    Iterative-deepening base search over sorted prefixes P: P grows only by
+    vertices above max(P) that the pointwise stabilizer G_P moves and that are
+    least in their G_P-orbit.  Each prefix's extensions are computed once per
+    call, so deeper rounds reuse the stabilizer orbits of shallower ones.
+    """
     ctx = _make_ctx(g, budget, ctx)
     if ctx.full.order == 1:
         return 0, ()
     n = g.n
+    branches: dict[tuple[int, ...], list[int]] = {}
+
+    def extensions(prefix: tuple[int, ...]) -> list[int]:
+        got = branches.get(prefix)
+        if got is None:
+            group = ctx.group(pointwise_colors(n, prefix)) if prefix else ctx.full
+            low = prefix[-1] if prefix else -1
+            # orbits are sorted tuples, so orbit[0] is the least point of each
+            got = sorted(orbit[0] for orbit in group.orbits
+                         if len(orbit) > 1 and orbit[0] > low)
+            branches[prefix] = got
+        return got
+
+    def search(prefix: tuple[int, ...], todo: int) -> tuple[int, ...] | None:
+        for v in extensions(prefix):
+            ext = prefix + (v,)
+            if todo == 1:
+                if ctx.pointwise_trivial(ext):
+                    return ext
+            else:
+                found = search(ext, todo - 1)
+                if found is not None:
+                    return found
+        return None
+
     for k in range(1, n + 1):
-        seen: set[frozenset[int]] = set()
-        for comb in itertools.combinations(range(n), k):
-            if k <= 2:
-                key = frozenset(comb)
-                if key in seen:
-                    continue
-                seen.update(ctx.subset_orbit(key))
-            if ctx.pointwise_trivial(comb):
-                return k, comb
+        found = search((), k)
+        if found is not None:
+            return k, found
     raise AssertionError("the full vertex set always determines")
 
 
@@ -338,6 +379,10 @@ _REPORT_KEYS = ("graph6", "n", "aut_order", "D", "rho", "det",
                 "witness_labeling", "witness_det_set", "class_sizes")
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class InvariantReport:
     """All three invariants of one graph plus re-checkable witnesses."""
@@ -367,9 +412,26 @@ class InvariantReport:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "InvariantReport":
+        """Parse a ``to_dict`` mapping; raises ValueError when a key is missing,
+        graph6 is not a string, n is not a count, a witness vertex is not a
+        vertex, or the witness labeling does not label exactly n vertices."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"report must be a JSON object, got {type(data).__name__}")
         missing = [k for k in _REPORT_KEYS if k not in data]
         if missing:
             raise ValueError(f"report missing keys: {missing}")
+        if not isinstance(data["graph6"], str):
+            raise ValueError(f"report graph6 must be a string, got {data['graph6']!r}")
+        n = data["n"]
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"report n must be a non-negative integer, got {n!r}")
+        det_set = data["witness_det_set"]
+        if not isinstance(det_set, (list, tuple)) or not all(
+                _is_int(v) and 0 <= v < n for v in det_set):
+            raise ValueError(f"witness_det_set must list vertices 0..{n - 1}, got {det_set!r}")
+        labeling = data["witness_labeling"]
+        if not isinstance(labeling, (list, tuple)) or len(labeling) != n:
+            raise ValueError(f"witness_labeling must list {n} labels, got {labeling!r}")
         return cls(
             graph6=data["graph6"],
             n=data["n"],

@@ -86,6 +86,22 @@ def test_check_witness_round_trip(capsys, tmp_path):
     assert code == 1 and "witness check failed" in err
 
 
+def test_check_witness_rejects_malformed_witnesses(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "compute", "--family", "path:4", "--json", "--output", str(report))
+    assert code == 0
+    good = json.loads(report.read_text())
+    for key, value in [("witness_det_set", [99]), ("witness_det_set", [-1]),
+                       ("witness_det_set", ["0"]), ("witness_det_set", [True]),
+                       ("witness_labeling", [1, 2, 1]), ("n", "4"), ("graph6", 5)]:
+        report.write_text(json.dumps({**good, key: value}))
+        code, _, err = run(capsys, "compute", "--check-witness", str(report))
+        assert code == 2 and "cannot load report" in err, (key, value)
+    report.write_text("[]")
+    code, _, err = run(capsys, "compute", "--check-witness", str(report))
+    assert code == 2 and "cannot load report" in err
+
+
 def test_check_witness_rejects_extra_source(capsys, tmp_path):
     report = tmp_path / "report.json"
     report.write_text("{}")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,16 @@ def test_is_determining_set_examples():
     assert is_determining_set(f3, [1, 3, 5])
     assert not is_determining_set(f3, [1, 3])
     assert is_determining_set(complete(1), [])
+    for bad in ([-1], [4]):  # negative indices must not wrap around
+        with pytest.raises(ValueError, match="out of range"):
+            is_determining_set(path(4), bad)
+
+
+def test_determining_witness_matches_brute_force_sampled_order7(rng):
+    # random graphs of order 6 and 7, disconnected ones included
+    for _ in range(12):
+        g = _oracles.random_graph(rng, rng.randint(6, 7), p=rng.choice([0.3, 0.5]))
+        assert determining_number(g) == _oracles.brute_determining(g)
 
 
 def test_minimum_determining_sets():
@@ -150,7 +161,7 @@ def test_invariants_match_brute_force_exhaustively():
             d, _ = distinguishing_number(g, ctx=ctx)
             assert d == _oracles.brute_distinguishing(g, elements)
             assert cost(g, d=d, ctx=ctx)[0] == _oracles.brute_cost(g, d, elements)
-            assert determining_number(g, ctx=ctx)[0] == _oracles.brute_determining(g, elements)[0]
+            assert determining_number(g, ctx=ctx) == _oracles.brute_determining(g, elements)
 
 
 def test_invariants_match_brute_force_sampled_order5(rng):
@@ -162,7 +173,7 @@ def test_invariants_match_brute_force_sampled_order5(rng):
         d, _ = distinguishing_number(g, ctx=ctx)
         assert d == _oracles.brute_distinguishing(g, elements)
         assert cost(g, d=d, ctx=ctx)[0] == _oracles.brute_cost(g, d, elements)
-        assert determining_number(g, ctx=ctx)[0] == _oracles.brute_determining(g, elements)[0]
+        assert determining_number(g, ctx=ctx) == _oracles.brute_determining(g, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +222,7 @@ def test_disconnected_graphs_are_accepted():
     assert d == _oracles.brute_distinguishing(g, elements) == 3
     assert is_color_rigid(g, witness)
     assert cost(g, d=d, ctx=ctx)[0] == _oracles.brute_cost(g, d, elements)
-    assert determining_number(g, ctx=ctx)[0] == _oracles.brute_determining(g, elements)[0]
+    assert determining_number(g, ctx=ctx) == _oracles.brute_determining(g, elements)
 
 
 def test_friendship_formulas_match_search_through_eight():
@@ -262,3 +273,24 @@ def test_cost_det_hint_never_cuts():
         plain = cost(g, d=d, ctx=ctx)[0]
         hinted = cost(g, d=d, ctx=ctx, det_hint=det)[0]
         assert plain == hinted
+
+
+# ---------------------------------------------------------------------------
+# search size and the benchmark panel
+# ---------------------------------------------------------------------------
+
+def test_symmetric_reports_fit_small_budgets():
+    # with stabilizer-orbit pruning these reports take 3,345 and 16,175 nodes;
+    # scanning every k-subset for the determining set takes over 280,000
+    assert invariant_report(friendship(8), budget=10_000).determining_number == 8
+    assert invariant_report(corona(path(4), complete(3)), budget=40_000).cost == 4
+
+
+def test_panel_reports_match_golden():
+    from symlab import build_family
+    golden_file = Path(__file__).resolve().parent.parent / "perfbench/golden/symmetric-panel.json"
+    golden = json.loads(golden_file.read_text())
+    assert len(golden) == 11
+    for spec, want in golden.items():
+        got = invariant_report(build_family(spec)).to_dict()
+        assert json.dumps(got) == json.dumps(want), spec
