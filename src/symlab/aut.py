@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import Graph
@@ -427,6 +428,11 @@ class AutContext:
     element list, and every colored query becomes an exact filter over it;
     otherwise each query runs its own refinement search.  Both backends give
     identical answers, so callers stay deterministic either way.
+
+    The filter keeps, per non-identity element p, an ``itemgetter(*p)`` and
+    the bitmask of the vertices p fixes: p preserves a coloring iff the
+    getter maps the color tuple onto itself, and fixes a vertex set iff the
+    set's mask lies inside p's fixed mask.
     """
 
     def __init__(self, graph: Graph, budget: Budget | None = None,
@@ -434,18 +440,24 @@ class AutContext:
         self.graph = graph
         self.budget = budget or Budget()
         self.full = automorphisms(graph, budget=self.budget)
-        self._elements: list[Perm] | None = None
+        self._filter: list[tuple[Perm, itemgetter, int]] | None = None
         if self.full.order <= enumerate_limit:
-            # elements are sorted, so the identity sits at index 0
-            self._elements = enumerate_elements(self.full, cap=enumerate_limit)
+            # elements are sorted, so the identity sits at index 0; every
+            # other element moves a vertex, so n >= 2 and each getter
+            # returns a tuple
+            elements = enumerate_elements(self.full, cap=enumerate_limit)
+            self._filter = [
+                (p, itemgetter(*p), sum(1 << v for v, w in enumerate(p) if v == w))
+                for p in elements[1:]
+            ]
 
     # colors below are arbitrary integer vectors: equal value = same class
 
     def first_nontrivial(self, colors: Sequence[int]) -> Perm | None:
-        if self._elements is not None:
-            n = self.graph.n
-            for p in self._elements[1:]:
-                if all(colors[p[v]] == colors[v] for v in range(n)):
+        if self._filter is not None:
+            key = tuple(colors)
+            for p, get, _ in self._filter:
+                if get(key) == key:
                     return p
             return None
         return _Engine(self.graph, colors, self.budget).first_nontrivial()
@@ -454,21 +466,23 @@ class AutContext:
         return self.first_nontrivial(colors) is None
 
     def group(self, colors: Sequence[int]) -> PermGroup:
-        if self._elements is not None:
-            n = self.graph.n
-            kept = [p for p in self._elements
-                    if all(colors[p[v]] == colors[v] for v in range(n))]
-            gens = tuple(p for p in kept if p != self._elements[0])
-            return PermGroup(n, gens, len(kept), _orbit_partition(n, kept))
+        n = self.graph.n
+        if self._filter is not None:
+            key = tuple(colors)
+            gens = tuple(p for p, get, _ in self._filter if get(key) == key)
+            kept = (identity_perm(n),) + gens
+            # the kept elements form a group, so the orbit of v is its set of images
+            orbits = tuple(sorted({tuple(sorted({p[v] for p in kept})) for v in range(n)}))
+            return PermGroup(n, gens, len(kept), orbits)
         gens, order = _Engine(self.graph, colors, self.budget).group()
-        return PermGroup.from_generators(self.graph.n, gens, order)
+        return PermGroup.from_generators(n, gens, order)
 
     def pointwise_trivial(self, vertices: Iterable[int]) -> bool:
         colors = pointwise_colors(self.graph.n, vertices)
-        if self._elements is not None:
-            vs = [v for v, c in enumerate(colors) if c]
-            for p in self._elements[1:]:
-                if all(p[v] == v for v in vs):
+        if self._filter is not None:
+            mask = sum(1 << v for v, c in enumerate(colors) if c)
+            for _, _, fixed in self._filter:
+                if fixed & mask == mask:
                     return False
             return True
         return _Engine(self.graph, colors, self.budget).first_nontrivial() is None

@@ -122,6 +122,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
+    if args.jobs < 1:
+        raise _CliError(f"--jobs must be at least 1, got {args.jobs}")
     ids = None if args.suite == "default" else [s.strip() for s in args.suite.split(",") if s.strip()]
     try:
         reports = run_suite(ids, corpus_override=args.corpus, budget=budget, jobs=args.jobs)

@@ -107,6 +107,8 @@ class FriendshipFacts:
             cost=friendship_cost(n),
             determining_number=friendship_determining_number(n),
         )
-        assert k <= n < friendship_threshold(j + 1)
-        assert 0 <= offset <= j - 2
+        if not k <= n < friendship_threshold(j + 1):
+            raise OutOfRangeError(f"n={n} outside the threshold band of j={j}")
+        if not 0 <= offset <= j - 2:
+            raise OutOfRangeError(f"offset {offset} outside 0..{j - 2} for j={j}")
         return facts

@@ -17,8 +17,9 @@ from typing import Iterator, Sequence
 from . import families
 from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET,
                   brute_force_automorphisms, enumerate_elements)
-from .graphs import (FamilySpec, Graph, emit_graph6, friendship, from_edge_list,
-                     hypercube, induced_subgraph, parse_family_spec, parse_graph6)
+from .graphs import (FamilySpec, Graph, Graph6Error, emit_graph6, friendship,
+                     from_edge_list, hypercube, induced_subgraph, parse_family_spec,
+                     parse_graph6)
 from .invariants import (InvariantReport, cost, determining_number,
                          distinguishing_number, invariant_report,
                          minimum_determining_sets, subset_distinguishing_witness,
@@ -159,10 +160,14 @@ def corpus(spec: str) -> Iterator[Graph]:
                 lines = fh.read().splitlines()
         except OSError as exc:
             raise CorpusError(f"cannot read corpus file {rest!r}: {exc}") from exc
-        for line in lines:
+        for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if line and line != ">>graph6<<":
-                yield parse_graph6(line)
+                try:
+                    g = parse_graph6(line)
+                except Graph6Error as exc:
+                    raise CorpusError(f"corpus file {rest!r}, line {lineno}: {exc}") from exc
+                yield g
     else:
         raise CorpusError(f"unknown corpus kind {kind!r}")
 
@@ -285,8 +290,17 @@ def _check_thm11(g6: str, rep: InvariantReport, ctx: AutContext,
             {"graph6": g6, "probed": len(mindets), "truncated": truncated})
 
 
+# Per-run memo of Cor2.6's induced-subgraph results, keyed by the labeled
+# adjacency ``adj_bits``: [context, distinguishing number, (cost, witness) or
+# None until a graph needs it].  Entries are stored only once computed, so a
+# budget overrun leaves nothing behind, and a later cost query charges the
+# same context budget that one uncached call would.
+_SubMemo = dict[tuple[int, ...], list]
+
+
 def _check_cor26(g6: str, rep: InvariantReport, ctx: AutContext,
-                 mindets: list[tuple[int, ...]], budget_cap: int) -> Verdict:
+                 mindets: list[tuple[int, ...]], budget_cap: int,
+                 memo: _SubMemo) -> Verdict:
     d = rep.distinguishing_number
     if d < 2:
         return ("Cor2.6", False, "ok", None)
@@ -295,12 +309,18 @@ def _check_cor26(g6: str, rep: InvariantReport, ctx: AutContext,
         if not A:
             continue
         sub, index = induced_subgraph(ctx.graph, A)
-        sub_ctx = AutContext(sub, Budget(budget_cap))
-        d_sub, _ = distinguishing_number(sub, ctx=sub_ctx)
+        entry = memo.get(sub.adj_bits)
+        if entry is None:
+            sub_ctx = AutContext(sub, Budget(budget_cap))
+            d_sub, _ = distinguishing_number(sub, ctx=sub_ctx)
+            entry = memo[sub.adj_bits] = [sub_ctx, d_sub, None]
+        sub_ctx, d_sub, found = entry
         if d_sub != d - 1:
             continue
         met = True
-        rho_sub, wit = cost(sub, d=d_sub, ctx=sub_ctx)
+        if found is None:
+            found = entry[2] = cost(sub, d=d_sub, ctx=sub_ctx)
+        rho_sub, wit = found
         bound = min(rep.n - rep.determining_number, rho_sub)
         if rep.cost > bound:
             return _fail("Cor2.6", g6, "cost exceeds induced-subgraph bound",
@@ -327,12 +347,12 @@ _BOUND_IDS = ("Thm1.1", "Prop2.2", "Prop2.3", "Prop2.4", "Prop2.5",
               "Cor2.6", "Cor2.7", "EngineOracle")
 
 
-def _bound_worker(args: tuple[int, str, tuple[str, ...], int]) -> list[Verdict]:
-    index, g6, ids, budget_cap = args
-    g = parse_graph6(g6)
+def _graph_verdicts(index: int, g: Graph, ids: tuple[str, ...], budget_cap: int,
+                    memo: _SubMemo) -> list[Verdict]:
     try:
         ctx = AutContext(g, Budget(budget_cap))
         rep = invariant_report(g, ctx=ctx)
+        g6 = rep.graph6
         mindets: list[tuple[int, ...]] = []
         truncated = False
         if "Thm1.1" in ids or "Cor2.6" in ids:
@@ -352,12 +372,27 @@ def _bound_worker(args: tuple[int, str, tuple[str, ...], int]) -> list[Verdict]:
             elif check == "Thm1.1":
                 out.append(_check_thm11(g6, rep, ctx, mindets, truncated))
             elif check == "Cor2.6":
-                out.append(_check_cor26(g6, rep, ctx, mindets, budget_cap))
+                out.append(_check_cor26(g6, rep, ctx, mindets, budget_cap, memo))
             elif check == "EngineOracle":
                 out.append(_check_engine_oracle(g6, g, ctx, index))
         return out
     except BudgetExceededError:
-        return [(check, True, "budget", {"graph6": g6}) for check in ids]
+        return [(check, True, "budget", {"graph6": emit_graph6(g)}) for check in ids]
+
+
+# the Cor2.6 memo of one pool worker, set by the pool's initializer; each
+# pool starts fresh workers, so it lives for one run
+_worker_memo: _SubMemo | None = None
+
+
+def _init_worker() -> None:
+    global _worker_memo
+    _worker_memo = {}
+
+
+def _bound_worker(args: tuple[int, str, tuple[str, ...], int]) -> list[Verdict]:
+    index, g6, ids, budget_cap = args
+    return _graph_verdicts(index, parse_graph6(g6), ids, budget_cap, _worker_memo)
 
 
 def _aggregate(theorem_id: str, corpus_desc: str, verdicts: list[Verdict],
@@ -389,21 +424,22 @@ def _aggregate(theorem_id: str, corpus_desc: str, verdicts: list[Verdict],
 def _run_bound_checks(ids: Sequence[str], corpus_spec: str, budget_cap: int,
                       jobs: int) -> list[TheoremReport]:
     ids = tuple(ids)
-    tasks = ((i, emit_graph6(g), ids, budget_cap)
-             for i, g in enumerate(corpus(corpus_spec)))
     per_check: dict[str, list[Verdict]] = {check: [] for check in ids}
     checked = 0
     if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+        tasks = ((i, emit_graph6(g), ids, budget_cap)
+                 for i, g in enumerate(corpus(corpus_spec)))
+        with multiprocessing.Pool(jobs, initializer=_init_worker) as pool:
             results = pool.imap(_bound_worker, tasks, chunksize=64)
             for verdicts in results:
                 checked += 1
                 for v in verdicts:
                     per_check[v[0]].append(v)
     else:
-        for task in tasks:
+        memo: _SubMemo = {}
+        for i, g in enumerate(corpus(corpus_spec)):
             checked += 1
-            for v in _bound_worker(task):
+            for v in _graph_verdicts(i, g, ids, budget_cap, memo):
                 per_check[v[0]].append(v)
     return [_aggregate(check, corpus_spec, per_check[check], checked)
             for check in ids]

@@ -194,17 +194,40 @@ def test_brute_force_guard():
 # the cached query context
 # ---------------------------------------------------------------------------
 
+def _backend_panel(rng):
+    # random graphs of every order 1..7 plus a few with large groups
+    graphs = [_oracles.random_graph(rng, n) for n in range(1, 8) for _ in range(3)]
+    graphs += [complete(5), cycle(6), path(7), friendship(3),
+               from_edge_list(7, [(0, v) for v in range(1, 7)])]
+    return graphs
+
+
 def test_context_backends_agree(rng):
-    for _ in range(20):
-        g = _oracles.random_graph(rng, rng.randint(2, 6))
-        cached = AutContext(g)  # small groups are enumerated
-        searched = AutContext(g, enumerate_limit=0)  # force per-query searches
-        colors = [rng.randint(0, 2) for _ in range(g.n)]
-        assert cached.is_rigid(colors) == searched.is_rigid(colors)
-        assert cached.group(colors).order == searched.group(colors).order
-        assert cached.group(colors).orbits == searched.group(colors).orbits
-        subset = [v for v in range(g.n) if rng.random() < 0.4]
-        assert cached.pointwise_trivial(subset) == searched.pointwise_trivial(subset)
+    for g in _backend_panel(rng):
+        n = g.n
+        elements = _oracles.brute_aut(g)
+        # filter over every element, against per-query searches
+        cached = AutContext(g, enumerate_limit=math.factorial(n))
+        searched = AutContext(g, enumerate_limit=0)
+        colorings = [[0] * n] + [[rng.randint(0, k) for _ in range(n)] for k in (1, 2, 3)]
+        for colors in colorings:
+            kept = [p for p in elements if _oracles.stabilizes_labeling(p, colors)]
+            rigid = len(kept) == 1
+            for ctx in (cached, searched):
+                found = ctx.first_nontrivial(colors)
+                assert (found is None) == rigid
+                if found is not None:
+                    assert found != identity_perm(n) and found in kept
+                assert ctx.is_rigid(colors) == rigid
+            got, want = cached.group(colors), searched.group(colors)
+            assert got.order == want.order == len(kept)
+            assert got.orbits == want.orbits
+            assert got.generators == tuple(sorted(p for p in kept if p != identity_perm(n)))
+        subsets = [[], [v for v in range(n) if rng.random() < 0.4], list(range(n))]
+        for subset in subsets:
+            want = all(p == identity_perm(n) or any(p[v] != v for v in subset)
+                       for p in elements)
+            assert cached.pointwise_trivial(subset) == searched.pointwise_trivial(subset) == want
 
 
 def test_context_identity_is_first_element():

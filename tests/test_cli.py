@@ -151,6 +151,25 @@ def test_verify_budget_exit(capsys):
     assert code == 3
 
 
+def test_verify_malformed_corpus_file_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.g6"
+    bad.write_text("Bg\n!!!\nA_\n")
+    for jobs in ("1", "2"):
+        code, _, err = run(capsys, "verify", "--suite", "Prop2.2",
+                           "--corpus", f"file:{bad}", "--jobs", jobs)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "bad.g6" in err and "line 2" in err
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "--suite", "Prop2.2",
+                             "--corpus", "all-connected:3", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "--jobs" in err
+
+
 # ---------------------------------------------------------------------------
 # convert
 # ---------------------------------------------------------------------------

@@ -143,10 +143,41 @@ def test_bound_checks_share_one_corpus_pass():
     assert all(r.graphs_checked == 44 for r in reports)
 
 
+_BOUND_CHECKS = ["Thm1.1", "Prop2.2", "Prop2.3", "Prop2.4", "Prop2.5",
+                 "Cor2.6", "Cor2.7", "EngineOracle"]
+
+
 def test_jobs_do_not_change_reports():
-    one = run_suite(["Prop2.2", "Thm1.1"], corpus_override="all-connected:<=4", jobs=1)
-    two = run_suite(["Prop2.2", "Thm1.1"], corpus_override="all-connected:<=4", jobs=2)
+    # Cor2.6 memoizes induced subgraphs per run: serially in one dict, in the
+    # pool once per worker
+    one = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5", jobs=1)
+    two = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5", jobs=2)
     assert [r.to_dict() for r in one] == [r.to_dict() for r in two]
+    assert [r.theorem_id for r in one] == _BOUND_CHECKS
+    assert all(r.graphs_checked == 772 for r in one)
+
+
+def test_bound_pass_builds_one_context_per_distinct_subgraph(monkeypatch):
+    # 772 graphs need one context each; Cor2.6's induced subgraphs repeat, so
+    # a run builds each distinct labeled one once.  An identical second run
+    # builds as many again: the memo does not outlive a run.
+    import symlab.verifier as verifier
+
+    built = []
+
+    class CountingContext(verifier.AutContext):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "AutContext", CountingContext)
+    counts = []
+    for _ in range(2):
+        built.clear()
+        run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5")
+        counts.append(len(built))
+    assert 772 < counts[0] <= 800
+    assert counts[1] == counts[0]
 
 
 def test_thm11_widening_is_used(tmp_path):
