@@ -271,13 +271,17 @@ class _Engine:
     def group(self) -> tuple[list[Perm], int]:
         return self._group_of(self.refine(self.root))
 
-    def _group_of(self, colors: list[int]) -> tuple[list[Perm], int]:
+    def _group_of(self, colors: list[int], first: bool = False) -> tuple[list[Perm], int]:
+        """Generators and order of the group fixing ``colors``; with ``first``,
+        return as soon as one generator is found (the order is then unset)."""
         cell = self.target_cell(colors)
         if cell is None:
             return [], 1
         beta = cell[0]
         sub = self.refine(self.individualize(colors, beta))
-        gens, order = self._group_of(sub)
+        gens, order = self._group_of(sub, first)
+        if first and gens:
+            return gens, 0
         orbit = _orbit_of(beta, gens)
         for v in cell[1:]:
             if v in orbit:
@@ -285,27 +289,15 @@ class _Engine:
             sigma = self._find_iso(sub, self.refine(self.individualize(colors, v)))
             if sigma is not None:
                 gens.append(sigma)
+                if first:
+                    return gens, 0
                 orbit = _orbit_of(beta, gens)
         return gens, order * len(orbit)
 
     def first_nontrivial(self) -> Perm | None:
         """Cheapest witness that the colored group is nontrivial, else None."""
-        return self._first_nontrivial(self.refine(self.root))
-
-    def _first_nontrivial(self, colors: list[int]) -> Perm | None:
-        cell = self.target_cell(colors)
-        if cell is None:
-            return None
-        beta = cell[0]
-        sub = self.refine(self.individualize(colors, beta))
-        found = self._first_nontrivial(sub)
-        if found is not None:
-            return found
-        for v in cell[1:]:
-            sigma = self._find_iso(sub, self.refine(self.individualize(colors, v)))
-            if sigma is not None:
-                return sigma
-        return None
+        gens, _ = self._group_of(self.refine(self.root), first=True)
+        return gens[0] if gens else None
 
 
 # ---------------------------------------------------------------------------

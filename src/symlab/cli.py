@@ -32,8 +32,10 @@ class _CliError(Exception):
         self.code = code
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("SYMLAB_BUDGET")
+def _budget(args: argparse.Namespace) -> int:
+    """The node budget: ``--budget``, else ``SYMLAB_BUDGET``, else the default.
+    A value below 1 from either source is a usage error."""
+    raw = os.environ.get("SYMLAB_BUDGET") if args.budget is None else args.budget
     if raw is None:
         return DEFAULT_NODE_BUDGET
     try:
@@ -42,7 +44,8 @@ def _default_budget() -> int:
             raise ValueError
         return value
     except ValueError:
-        raise _CliError(f"SYMLAB_BUDGET must be a positive integer, got {raw!r}") from None
+        source = "SYMLAB_BUDGET" if args.budget is None else "--budget"
+        raise _CliError(f"{source} must be a positive integer, got {raw!r}") from None
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -78,7 +81,7 @@ def _format_table(data: dict) -> str:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     if args.check_witness:
         if any(getattr(args, s, None) for s in ("family", "g6", "edgelist")):
             raise _CliError("--check-witness reads the graph from the report itself")
@@ -121,7 +124,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     if args.jobs < 1:
         raise _CliError(f"--jobs must be at least 1, got {args.jobs}")
     ids = None if args.suite == "default" else [s.strip() for s in args.suite.split(",") if s.strip()]

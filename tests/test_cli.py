@@ -70,6 +70,18 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 2 and "SYMLAB_BUDGET" in err
 
 
+def test_compute_rejects_budget_below_one(capsys, monkeypatch):
+    # a bad budget is a usage error whether it comes from the flag or the
+    # environment, not an exhausted search
+    for budget in ("0", "-1"):
+        code, out, err = run(capsys, "compute", "--family", "path:3", "--budget", budget)
+        assert code == 2 and out == ""
+        assert "--budget" in err and "exhausted" not in err
+    monkeypatch.setenv("SYMLAB_BUDGET", "0")
+    code, _, err = run(capsys, "compute", "--family", "path:3")
+    assert code == 2 and "SYMLAB_BUDGET" in err
+
+
 def test_check_witness_round_trip(capsys, tmp_path):
     report = tmp_path / "report.json"
     code, _, _ = run(capsys, "compute", "--family", "friendship:3", "--json",
@@ -168,6 +180,22 @@ def test_verify_rejects_jobs_below_one(capsys):
                              "--corpus", "all-connected:3", "--jobs", jobs)
         assert code == 2 and out == ""
         assert "--jobs" in err
+
+
+def test_verify_rejects_budget_below_one(capsys):
+    for budget in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "--suite", "Prop2.2",
+                             "--corpus", "all-connected:3", "--budget", budget)
+        assert code == 2 and out == ""
+        assert "--budget" in err and "exhausted" not in err
+
+
+def test_verify_malformed_corona_pair_is_usage_error(capsys):
+    for pairs in ("(bogus:1),(path:2)", "(path:0),(path:2)", "(path:3)"):
+        code, out, err = run(capsys, "verify", "--suite", "Thm4.1",
+                             "--corpus", f"corona-pairs:{pairs}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "corona pair" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from symlab import corpus, exit_code_for, registered_checks, run_check, run_suite
@@ -124,6 +127,10 @@ def test_corpus_kind_mismatch_rejected():
         run_check("Thm4.1", "friendship:2..3")
     with pytest.raises(CorpusError):
         run_check("HypercubeCost", "all-connected:4")
+    with pytest.raises(CorpusError, match="second factor to be complete:1"):
+        run_check("Thm4.2", "corona-pairs:(path:3),(path:2)")
+    with pytest.raises(CorpusError, match="start at n=2"):
+        run_check("Thm3.1", "friendship:1..3")
 
 
 def test_budget_exceeded_status():
@@ -141,6 +148,11 @@ def test_bound_checks_share_one_corpus_pass():
     assert [r.theorem_id for r in reports] == ["Prop2.2", "Prop2.5", "Cor2.7"]
     assert all(r.status == "verified" for r in reports)
     assert all(r.graphs_checked == 44 for r in reports)
+
+
+def test_repeated_check_id_counts_each_graph_once():
+    reports = run_suite(["Prop2.2", "Prop2.2"], corpus_override="all-connected:3")
+    assert [(r.graphs_checked, r.hypothesis_met) for r in reports] == [(4, 4), (4, 4)]
 
 
 _BOUND_CHECKS = ["Thm1.1", "Prop2.2", "Prop2.3", "Prop2.4", "Prop2.5",
@@ -232,6 +244,10 @@ def test_default_suite_end_to_end():
     # verifies except the two genuine findings (corona equality fails hard,
     # hypercube cost fails informatively)
     reports = run_suite(jobs=2)
+    # every field of every report is pinned by the checked-in output of
+    # `symlab verify --suite default --json`
+    golden = json.loads((Path(__file__).parent / "data" / "verify_default.json").read_text())
+    assert [r.to_dict() for r in reports] == golden
     by_id = {r.theorem_id: r for r in reports}
     assert len(reports) == len(registered_checks())
     assert by_id["Thm4.1"].status == "counterexample"
