@@ -7,7 +7,7 @@ machine-checks a suite of exact statements about them on small-graph corpora.
 
 from .aut import (AutContext, Budget, BudgetExceededError, Coloring, PermGroup,
                   automorphisms, brute_force_automorphisms, enumerate_elements,
-                  is_color_rigid, orbits_of, pointwise_stabilizer_is_trivial, refine)
+                  is_color_rigid, pointwise_stabilizer_is_trivial, refine)
 from .families import (FriendshipFacts, corona_cost_bound, corona_determining_number,
                        corona_pendant_determining_number, friendship_cost,
                        friendship_determining_number, friendship_distinguishing_number,
@@ -26,7 +26,7 @@ from .verifier import (TheoremReport, corpus, exit_code_for, registered_checks,
 __all__ = [
     "AutContext", "Budget", "BudgetExceededError", "Coloring", "PermGroup",
     "automorphisms", "brute_force_automorphisms", "enumerate_elements",
-    "is_color_rigid", "orbits_of", "pointwise_stabilizer_is_trivial", "refine",
+    "is_color_rigid", "pointwise_stabilizer_is_trivial", "refine",
     "FriendshipFacts", "corona_cost_bound", "corona_determining_number",
     "corona_pendant_determining_number", "friendship_cost",
     "friendship_determining_number", "friendship_distinguishing_number",

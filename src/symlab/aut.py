@@ -7,8 +7,9 @@ vertex coloring, using individualization-refinement backtracking:
   two vertices in a class see the same multiset of neighbor classes).
 * The group search individualizes one vertex of the first smallest
   non-singleton class, recursively computes that vertex's stabilizer, and
-  finds one coset representative per orbit point; the group order is the
-  product of the fundamental orbit sizes along this chain.
+  finds one coset representative per orbit point.  The group keeps these
+  transversals, one per level of this first-path stabilizer chain: its order
+  is the product of their sizes, its elements their products.
 
 All searches are deterministic (fixed cell selection, vertices branched in
 index order) and guarded by a node budget: exhausting the budget raises,
@@ -18,9 +19,11 @@ it never degrades into a wrong answer.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Graph
 
@@ -35,10 +38,6 @@ Perm = tuple[int, ...]
 
 class BudgetExceededError(RuntimeError):
     """Search-tree node budget exhausted; the query has no answer."""
-
-
-class GroupTooLargeError(RuntimeError):
-    """Element enumeration refused because the group order exceeds the cap."""
 
 
 class ColoringError(ValueError):
@@ -100,21 +99,22 @@ class Coloring:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """Permutation group given by generators, exact order, and orbit partition."""
+    """Permutation group given by generators, orbit partition, and the
+    transversals of a stabilizer chain, top level first: level i holds one
+    representative per coset of stabilizer i + 1 in stabilizer i, identity first."""
 
     degree: int
     generators: tuple[Perm, ...]
-    order: int
     orbits: tuple[tuple[int, ...], ...]
+    transversals: tuple[tuple[Perm, ...], ...]
+
+    @cached_property
+    def order(self) -> int:
+        return math.prod(map(len, self.transversals))
 
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    @classmethod
-    def from_generators(cls, degree: int, generators: Iterable[Perm], order: int) -> "PermGroup":
-        gens = tuple(tuple(g) for g in generators)
-        return cls(degree, gens, order, _orbit_partition(degree, gens))
 
 
 def identity_perm(n: int) -> Perm:
@@ -131,6 +131,23 @@ def invert(p: Perm) -> Perm:
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
+
+
+def _is_automorphism(bits: Sequence[int], colors: Sequence[int], sigma: Sequence[int]) -> bool:
+    """True iff ``sigma`` maps the adjacency bitmasks ``bits`` and the vertex
+    colors onto themselves."""
+    for v in range(len(bits)):
+        if colors[sigma[v]] != colors[v]:
+            return False
+        m = bits[v]
+        img = 0
+        while m:
+            b = m & -m
+            img |= 1 << sigma[b.bit_length() - 1]
+            m ^= b
+        if img != bits[sigma[v]]:
+            return False
+    return True
 
 
 def _orbit_partition(n: int, gens: Sequence[Perm]) -> tuple[tuple[int, ...], ...]:
@@ -153,17 +170,21 @@ def _orbit_partition(n: int, gens: Sequence[Perm]) -> tuple[tuple[int, ...], ...
     return tuple(tuple(sorted(m)) for m in sorted(groups.values()))
 
 
-def _orbit_of(start: int, gens: Sequence[Perm]) -> set[int]:
-    orbit = {start}
-    frontier = [start]
+def _transversal(n: int, beta: int, gens: Sequence[Perm], trans: dict | None = None) -> dict[int, Perm]:
+    """Map each point of beta's orbit under ``gens`` to a permutation taking
+    beta there, the identity for beta first.  Given an earlier result as
+    ``trans``, extend it in place: known points keep their representative."""
+    if trans is None:
+        trans = {beta: identity_perm(n)}
+    frontier = list(trans)
     while frontier:
         v = frontier.pop()
         for g in gens:
             w = g[v]
-            if w not in orbit:
-                orbit.add(w)
+            if w not in trans:
+                trans[w] = compose(g, trans[v])
                 frontier.append(w)
-    return orbit
+    return trans
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +250,6 @@ class _Engine:
             return None
         return [v for v, c in enumerate(colors) if c == best[1]]
 
-    # -- candidate verification ----------------------------------------------
-
-    def _is_automorphism(self, sigma: Sequence[int]) -> bool:
-        bits = self.bits
-        root = self.root
-        for v in range(self.n):
-            if root[sigma[v]] != root[v]:
-                return False
-            m = bits[v]
-            img = 0
-            while m:
-                b = m & -m
-                img |= 1 << sigma[b.bit_length() - 1]
-                m ^= b
-            if img != bits[sigma[v]]:
-                return False
-        return True
-
     # -- complete search for one mapping between two configurations -----------
 
     def _find_iso(self, left: list[int], right: list[int]) -> Perm | None:
@@ -256,7 +259,7 @@ class _Engine:
         if cell is None:
             pos = {c: v for v, c in enumerate(right)}
             sigma = tuple(pos[c] for c in left)
-            return sigma if self._is_automorphism(sigma) else None
+            return sigma if _is_automorphism(self.bits, self.root, sigma) else None
         color = left[cell[0]]
         sub_left = self.refine(self.individualize(left, cell[0]))
         for w in (v for v in range(self.n) if right[v] == color):
@@ -268,31 +271,34 @@ class _Engine:
 
     # -- group computation along the first-path stabilizer chain --------------
 
-    def group(self) -> tuple[list[Perm], int]:
-        return self._group_of(self.refine(self.root))
+    def group(self) -> PermGroup:
+        gens, levels = self._group_of(self.refine(self.root))
+        return PermGroup(self.n, tuple(gens), _orbit_partition(self.n, gens),
+                         tuple(tuple(t.values()) for t in levels))
 
-    def _group_of(self, colors: list[int], first: bool = False) -> tuple[list[Perm], int]:
-        """Generators and order of the group fixing ``colors``; with ``first``,
-        return as soon as one generator is found (the order is then unset)."""
+    def _group_of(self, colors: list[int], first: bool = False) -> tuple[list[Perm], list[dict]]:
+        """Generators of the group fixing ``colors`` and its transversals, top
+        level first; with ``first``, return as soon as one generator is found
+        (the transversals are then incomplete)."""
         cell = self.target_cell(colors)
         if cell is None:
-            return [], 1
+            return [], []
         beta = cell[0]
         sub = self.refine(self.individualize(colors, beta))
-        gens, order = self._group_of(sub, first)
+        gens, levels = self._group_of(sub, first)
         if first and gens:
-            return gens, 0
-        orbit = _orbit_of(beta, gens)
+            return gens, levels
+        trans = _transversal(self.n, beta, gens)
         for v in cell[1:]:
-            if v in orbit:
+            if v in trans:
                 continue
             sigma = self._find_iso(sub, self.refine(self.individualize(colors, v)))
             if sigma is not None:
                 gens.append(sigma)
                 if first:
-                    return gens, 0
-                orbit = _orbit_of(beta, gens)
-        return gens, order * len(orbit)
+                    return gens, levels
+                _transversal(self.n, beta, gens, trans)
+        return gens, [trans, *levels]
 
     def first_nontrivial(self) -> Perm | None:
         """Cheapest witness that the colored group is nontrivial, else None."""
@@ -315,14 +321,26 @@ def _root_colors(g: Graph, coloring: Coloring | None) -> list[int]:
 def automorphisms(g: Graph, coloring: Coloring | None = None, budget: Budget | None = None) -> PermGroup:
     """Exact group of adjacency- and color-preserving permutations."""
     budget = budget or Budget()
-    gens, order = _Engine(g, _root_colors(g, coloring), budget).group()
-    return PermGroup.from_generators(g.n, gens, order)
+    return _Engine(g, _root_colors(g, coloring), budget).group()
 
 
 def is_color_rigid(g: Graph, coloring: Coloring, budget: Budget | None = None) -> bool:
     """True iff no nontrivial automorphism preserves every label."""
     budget = budget or Budget()
     return _Engine(g, _root_colors(g, coloring), budget).first_nontrivial() is None
+
+
+def labeling_colors(n: int, labeling: Mapping[int, int], rest: int) -> list[int]:
+    """Color vector giving each vertex of ``labeling`` its label, which must
+    be positive, and every other vertex the color ``rest``."""
+    colors = [rest] * n
+    for v, lab in labeling.items():
+        if not (0 <= v < n):
+            raise ValueError(f"vertex {v} out of range for order {n}")
+        if lab < 1:
+            raise ValueError(f"labels must be positive, got {lab} at vertex {v}")
+        colors[v] = lab
+    return colors
 
 
 def pointwise_colors(n: int, vertices: Iterable[int]) -> list[int]:
@@ -347,58 +365,24 @@ def pointwise_stabilizer_is_trivial(g: Graph, vertices: Iterable[int], budget: B
     return _Engine(g, pointwise_colors(g.n, vertices), budget).first_nontrivial() is None
 
 
-def orbits_of(group: PermGroup) -> tuple[tuple[int, ...], ...]:
-    return group.orbits
-
-
-def enumerate_elements(group: PermGroup, cap: int) -> list[Perm]:
-    """All group elements (sorted), refusing when order exceeds ``cap``."""
-    if group.order > cap:
-        raise GroupTooLargeError(f"group order {group.order} exceeds cap {cap}")
+def enumerate_elements(group: PermGroup) -> Iterator[Perm]:
+    """Each group element once, lazily, the identity first: the products of
+    one representative per level of the group's transversals."""
     ident = identity_perm(group.degree)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for gen in group.generators:
-                f = compose(gen, e)
-                if f not in elements:
-                    elements.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return sorted(elements)
+    for reps in itertools.product(*group.transversals):
+        yield reduce(compose, reps, ident)
 
 
 def brute_force_automorphisms(g: Graph, coloring: Coloring | None = None, max_order: int = 8) -> list[Perm]:
     """Oracle: filter all n! permutations for adjacency and color preservation.
 
-    Independent of the refinement engine; only sensible for g.n <= max_order.
+    Independent of the refinement search (it shares only the preservation
+    test with the engine's leaf check); only sensible for g.n <= max_order.
     """
     if g.n > max_order:
         raise ValueError(f"brute force limited to order {max_order}, got {g.n}")
-    colors = _root_colors(g, coloring)
-    bits = g.adj_bits
-    n = g.n
-    out = []
-    for sigma in itertools.permutations(range(n)):
-        ok = True
-        for v in range(n):
-            if colors[sigma[v]] != colors[v]:
-                ok = False
-                break
-            m = bits[v]
-            img = 0
-            while m:
-                b = m & -m
-                img |= 1 << sigma[b.bit_length() - 1]
-                m ^= b
-            if img != bits[sigma[v]]:
-                ok = False
-                break
-        if ok:
-            out.append(sigma)
-    return out
+    colors, bits = _root_colors(g, coloring), g.adj_bits
+    return [s for s in itertools.permutations(range(g.n)) if _is_automorphism(bits, colors, s)]
 
 
 def refine(g: Graph, coloring: Coloring, budget: Budget | None = None) -> Coloring:
@@ -427,17 +411,16 @@ class AutContext:
     set's mask lies inside p's fixed mask.
     """
 
-    def __init__(self, graph: Graph, budget: Budget | None = None,
-                 enumerate_limit: int = ENUMERATE_LIMIT):
+    def __init__(self, graph: Graph, budget: Budget | None = None):
         self.graph = graph
         self.budget = budget or Budget()
         self.full = automorphisms(graph, budget=self.budget)
         self._filter: list[tuple[Perm, itemgetter, int]] | None = None
-        if self.full.order <= enumerate_limit:
+        if self.full.order <= ENUMERATE_LIMIT:
             # elements are sorted, so the identity sits at index 0; every
             # other element moves a vertex, so n >= 2 and each getter
             # returns a tuple
-            elements = enumerate_elements(self.full, cap=enumerate_limit)
+            elements = sorted(enumerate_elements(self.full))
             self._filter = [
                 (p, itemgetter(*p), sum(1 << v for v, w in enumerate(p) if v == w))
                 for p in elements[1:]
@@ -465,9 +448,8 @@ class AutContext:
             kept = (identity_perm(n),) + gens
             # the kept elements form a group, so the orbit of v is its set of images
             orbits = tuple(sorted({tuple(sorted({p[v] for p in kept})) for v in range(n)}))
-            return PermGroup(n, gens, len(kept), orbits)
-        gens, order = _Engine(self.graph, colors, self.budget).group()
-        return PermGroup.from_generators(n, gens, order)
+            return PermGroup(n, gens, orbits, (kept,))
+        return _Engine(self.graph, colors, self.budget).group()
 
     def pointwise_trivial(self, vertices: Iterable[int]) -> bool:
         colors = pointwise_colors(self.graph.n, vertices)

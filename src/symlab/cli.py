@@ -69,7 +69,11 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader is gone: send the rest, and the flush at exit, nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +100,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             for p in problems:
                 print(f"witness check failed: {p}", file=sys.stderr)
             return 1
-        print("witness check passed")
+        _emit(args, "witness check passed")
         return 0
 
     g = _load_graph(args)
@@ -128,6 +132,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise _CliError(f"--jobs must be at least 1, got {args.jobs}")
     ids = None if args.suite == "default" else [s.strip() for s in args.suite.split(",") if s.strip()]
+    if ids == []:
+        raise _CliError(f"--suite names no check: {args.suite!r}")
     try:
         reports = run_suite(ids, corpus_override=args.corpus, budget=budget, jobs=args.jobs)
     except (UnknownCheckError, CorpusError) as exc:

@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .aut import AutContext, Budget, Coloring, Perm, invert, pointwise_colors
+from .aut import AutContext, Budget, Coloring, Perm, invert, labeling_colors, pointwise_colors
 from .graphs import Graph, emit_graph6
 
 
@@ -290,17 +290,6 @@ def minimum_determining_sets(g: Graph, cap: int = 1000, budget: int | None = Non
 # subset distinguishability
 # ---------------------------------------------------------------------------
 
-def _subset_colors(g: Graph, labeling: Mapping[int, int]) -> list[int]:
-    colors = [0] * g.n
-    for v, lab in labeling.items():
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for order {g.n}")
-        if lab < 1:
-            raise ValueError(f"labels must be positive, got {lab} at vertex {v}")
-        colors[v] = lab
-    return colors
-
-
 def subset_is_d_distinguishable(g: Graph, w: Iterable[int], labeling: Mapping[int, int],
                                 budget: int | None = None,
                                 ctx: AutContext | None = None) -> bool:
@@ -317,7 +306,7 @@ def subset_is_d_distinguishable(g: Graph, w: Iterable[int], labeling: Mapping[in
     if not ws:
         return True
     ctx = _make_ctx(g, budget, ctx)
-    group = ctx.group(_subset_colors(g, labeling))
+    group = ctx.group(labeling_colors(g.n, labeling, 0))
     moved = {v for orbit in group.orbits if len(orbit) > 1 for v in orbit}
     return not any(v in moved for v in ws)
 

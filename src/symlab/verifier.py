@@ -24,7 +24,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import families
 from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET,
-                  brute_force_automorphisms, enumerate_elements)
+                  brute_force_automorphisms, enumerate_elements, labeling_colors)
 from .graphs import (FamilySpec, FamilySpecError, Graph, Graph6Error, corona,
                      emit_graph6, friendship, from_edge_list, hypercube,
                      induced_subgraph, parse_family_spec, parse_graph6,
@@ -312,13 +312,6 @@ def _check_cor27(c: _Case) -> Verdict:
     return (det <= rho or d == 2, "ok", None)
 
 
-def _lifted_colors(n: int, labeling: dict[int, int], rest_label: int) -> list[int]:
-    colors = [rest_label] * n
-    for v, lab in labeling.items():
-        colors[v] = lab
-    return colors
-
-
 def _check_thm11(c: _Case) -> Verdict:
     rep, ctx, g6 = c.rep, c.ctx, c.rep.graph6
     d = rep.distinguishing_number
@@ -330,7 +323,7 @@ def _check_thm11(c: _Case) -> Verdict:
         if got is None:
             continue  # this set needs d labels or more; fine for minimality
         sdn, labeling = got
-        lift = _lifted_colors(rep.n, labeling, sdn + 1)
+        lift = labeling_colors(rep.n, labeling, sdn + 1)
         if not ctx.is_rigid(lift):
             return _fail(g6, "distinguishable determining set failed to lift",
                          det_set=list(A), labels=labeling)
@@ -381,7 +374,7 @@ def _check_cor26(c: _Case) -> Verdict:
             return _fail(rep.graph6, "cost exceeds induced-subgraph bound",
                          det_set=list(A), bound=bound, rho=rep.cost)
         back = {old: wit.labels[new] for old, new in index.items()}
-        if not ctx.is_rigid(_lifted_colors(rep.n, back, d)):
+        if not ctx.is_rigid(labeling_colors(rep.n, back, d)):
             return _fail(rep.graph6, "constructive labeling not distinguishing",
                          det_set=list(A))
     return (met, "ok", None)
@@ -392,7 +385,7 @@ def _check_engine_oracle(c: _Case) -> Verdict:
     if c.index % _ORACLE_SAMPLE_STRIDE != 0 or g.n > 8:
         return _UNMET
     expected = set(brute_force_automorphisms(g))
-    got = set(enumerate_elements(ctx.full, cap=max(ctx.full.order, 1)))
+    got = set(enumerate_elements(ctx.full))
     if expected != got:
         return _fail(c.rep.graph6, "engine group differs from permutation filter",
                      engine_order=ctx.full.order, brute_order=len(expected))

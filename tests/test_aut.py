@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 import _oracles
 from symlab import (AutContext, Budget, BudgetExceededError, Coloring, automorphisms,
                     brute_force_automorphisms, complete, cycle, enumerate_elements,
-                    friendship, from_edge_list, hypercube, is_color_rigid, orbits_of,
-                    path, pointwise_stabilizer_is_trivial, refine)
-from symlab.aut import ColoringError, GroupTooLargeError, identity_perm
+                    friendship, from_edge_list, hypercube, is_color_rigid, path,
+                    pointwise_stabilizer_is_trivial, refine)
+from symlab import aut
+from symlab.aut import ColoringError, identity_perm
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +110,15 @@ def test_pointwise_stabilizer_examples():
 
 def test_orbits_and_enumeration():
     p3 = automorphisms(path(3))
-    assert orbits_of(p3) == ((0, 2), (1,))
+    assert p3.orbits == ((0, 2), (1,))
 
     k3 = automorphisms(complete(3))
-    assert len(enumerate_elements(k3, cap=10)) == 6
+    assert len(list(enumerate_elements(k3))) == k3.order == 6
 
     f2 = automorphisms(friendship(2))
-    elements = enumerate_elements(f2, cap=100)
-    assert len(elements) == 8
+    elements = list(enumerate_elements(f2))
+    assert len(elements) == f2.order == 8
     assert set(elements) == set(_oracles.brute_aut(friendship(2)))
-
-    with pytest.raises(GroupTooLargeError):
-        enumerate_elements(automorphisms(complete(5)), cap=10)
 
 
 def test_permgroup_invariants_on_samples(rng):
@@ -147,7 +145,8 @@ def test_engine_matches_brute_force(rng):
         g = _oracles.random_graph(rng, rng.randint(1, 6))
         grp = automorphisms(g)
         want = set(_oracles.brute_aut(g))
-        assert set(enumerate_elements(grp, cap=1000)) == want
+        assert set(enumerate_elements(grp)) == want
+        assert len(list(enumerate_elements(grp))) == grp.order
 
 
 def test_engine_matches_brute_force_exhaustively_order4():
@@ -157,8 +156,9 @@ def test_engine_matches_brute_force_exhaustively_order4():
         for mask in range(1 << len(pairs)):
             g = from_edge_list(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
             want = set(_oracles.brute_aut(g))
-            got = set(enumerate_elements(automorphisms(g), cap=30))
-            assert got == want
+            grp = automorphisms(g)
+            assert set(enumerate_elements(grp)) == want
+            assert len(list(enumerate_elements(grp))) == grp.order
 
 
 @given(st.integers(2, 6), st.randoms(use_true_random=False))
@@ -170,7 +170,8 @@ def test_engine_matches_brute_force_colored(n, pyrng):
     labels = tuple(lut.setdefault(x, len(lut) + 1) for x in raw)
     grp = automorphisms(g, Coloring(labels))
     want = set(_oracles.brute_aut(g, labels))
-    assert set(enumerate_elements(grp, cap=1000)) == want
+    assert set(enumerate_elements(grp)) == want
+    assert len(list(enumerate_elements(grp))) == grp.order
 
 
 def test_determinism():
@@ -202,13 +203,15 @@ def _backend_panel(rng):
     return graphs
 
 
-def test_context_backends_agree(rng):
+def test_context_backends_agree(rng, monkeypatch):
     for g in _backend_panel(rng):
         n = g.n
         elements = _oracles.brute_aut(g)
         # filter over every element, against per-query searches
-        cached = AutContext(g, enumerate_limit=math.factorial(n))
-        searched = AutContext(g, enumerate_limit=0)
+        monkeypatch.setattr(aut, "ENUMERATE_LIMIT", math.factorial(n))
+        cached = AutContext(g)
+        monkeypatch.setattr(aut, "ENUMERATE_LIMIT", 0)
+        searched = AutContext(g)
         colorings = [[0] * n] + [[rng.randint(0, k) for _ in range(n)] for k in (1, 2, 3)]
         for colors in colorings:
             kept = [p for p in elements if _oracles.stabilizes_labeling(p, colors)]
@@ -223,6 +226,7 @@ def test_context_backends_agree(rng):
             assert got.order == want.order == len(kept)
             assert got.orbits == want.orbits
             assert got.generators == tuple(sorted(p for p in kept if p != identity_perm(n)))
+            assert set(enumerate_elements(got)) == set(enumerate_elements(want)) == set(kept)
         subsets = [[], [v for v in range(n) if rng.random() < 0.4], list(range(n))]
         for subset in subsets:
             want = all(p == identity_perm(n) or any(p[v] != v for v in subset)

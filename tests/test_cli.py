@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from symlab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -188,6 +194,40 @@ def test_verify_rejects_budget_below_one(capsys):
                              "--corpus", "all-connected:3", "--budget", budget)
         assert code == 2 and out == ""
         assert "--budget" in err and "exhausted" not in err
+
+
+def test_verify_empty_suite_is_usage_error(capsys):
+    # a selection that names no check must not read as a clean pass
+    for suite in (",", " , "):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--suite" in err
+
+
+def _run_with_closed_stdout(*argv):
+    # the reader of stdout is gone before symlab writes anything
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from symlab.cli import main; sys.exit(main())",
+             *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_is_quiet(tmp_path):
+    proc = _run_with_closed_stdout("compute", "--family", "path:3")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    report = tmp_path / "report.json"
+    assert main(["compute", "--family", "path:3", "--json", "--output", str(report)]) == 0
+    proc = _run_with_closed_stdout("compute", "--check-witness", str(report))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    # the command's own exit code survives the lost output
+    proc = _run_with_closed_stdout("verify", "--suite", "Thm4.1", "--json")
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_verify_malformed_corona_pair_is_usage_error(capsys):
