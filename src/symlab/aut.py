@@ -324,12 +324,6 @@ def automorphisms(g: Graph, coloring: Coloring | None = None, budget: Budget | N
     return _Engine(g, _root_colors(g, coloring), budget).group()
 
 
-def is_color_rigid(g: Graph, coloring: Coloring, budget: Budget | None = None) -> bool:
-    """True iff no nontrivial automorphism preserves every label."""
-    budget = budget or Budget()
-    return _Engine(g, _root_colors(g, coloring), budget).first_nontrivial() is None
-
-
 def labeling_colors(n: int, labeling: Mapping[int, int], rest: int) -> list[int]:
     """Color vector giving each vertex of ``labeling`` its label, which must
     be positive, and every other vertex the color ``rest``."""
@@ -353,16 +347,6 @@ def pointwise_colors(n: int, vertices: Iterable[int]) -> list[int]:
             raise ValueError(f"vertex {v} out of range for order {n}")
         colors[v] = i + 1
     return colors
-
-
-def pointwise_stabilizer_is_trivial(g: Graph, vertices: Iterable[int], budget: Budget | None = None) -> bool:
-    """True iff only the identity automorphism fixes every given vertex.
-
-    Implemented by individualizing: each listed vertex gets a distinct fresh
-    color, everything else shares one color.
-    """
-    budget = budget or Budget()
-    return _Engine(g, pointwise_colors(g.n, vertices), budget).first_nontrivial() is None
 
 
 def enumerate_elements(group: PermGroup) -> Iterator[Perm]:
@@ -405,61 +389,57 @@ class AutContext:
     otherwise each query runs its own refinement search.  Both backends give
     identical answers, so callers stay deterministic either way.
 
-    The filter keeps, per non-identity element p, an ``itemgetter(*p)`` and
-    the bitmask of the vertices p fixes: p preserves a coloring iff the
-    getter maps the color tuple onto itself, and fixes a vertex set iff the
-    set's mask lies inside p's fixed mask.
+    The filter keeps, per non-identity element p, an ``itemgetter(*p)``: p
+    preserves a coloring iff the getter maps the color tuple onto itself.
     """
 
     def __init__(self, graph: Graph, budget: Budget | None = None):
         self.graph = graph
         self.budget = budget or Budget()
         self.full = automorphisms(graph, budget=self.budget)
-        self._filter: list[tuple[Perm, itemgetter, int]] | None = None
+        self._filter: list[tuple[Perm, itemgetter]] | None = None
         if self.full.order <= ENUMERATE_LIMIT:
             # elements are sorted, so the identity sits at index 0; every
             # other element moves a vertex, so n >= 2 and each getter
             # returns a tuple
             elements = sorted(enumerate_elements(self.full))
-            self._filter = [
-                (p, itemgetter(*p), sum(1 << v for v, w in enumerate(p) if v == w))
-                for p in elements[1:]
-            ]
+            self._filter = [(p, itemgetter(*p)) for p in elements[1:]]
 
-    # colors below are arbitrary integer vectors: equal value = same class
+    # colors below are arbitrary integer vectors of length n: equal value =
+    # same class
+
+    def _key(self, colors: Sequence[int]) -> tuple[int, ...]:
+        key = tuple(colors)
+        if len(key) != self.graph.n:
+            raise ColoringError(f"{len(key)} colors for a graph of order {self.graph.n}")
+        return key
 
     def first_nontrivial(self, colors: Sequence[int]) -> Perm | None:
-        if self._filter is not None:
-            key = tuple(colors)
-            for p, get, _ in self._filter:
-                if get(key) == key:
-                    return p
-            return None
-        return _Engine(self.graph, colors, self.budget).first_nontrivial()
+        key = self._key(colors)
+        if self._filter is None:
+            return _Engine(self.graph, key, self.budget).first_nontrivial()
+        for p, get in self._filter:
+            if get(key) == key:
+                return p
+        return None
 
     def is_rigid(self, colors: Sequence[int]) -> bool:
         return self.first_nontrivial(colors) is None
 
     def group(self, colors: Sequence[int]) -> PermGroup:
+        key = self._key(colors)
+        if self._filter is None:
+            return _Engine(self.graph, key, self.budget).group()
         n = self.graph.n
-        if self._filter is not None:
-            key = tuple(colors)
-            gens = tuple(p for p, get, _ in self._filter if get(key) == key)
-            kept = (identity_perm(n),) + gens
-            # the kept elements form a group, so the orbit of v is its set of images
-            orbits = tuple(sorted({tuple(sorted({p[v] for p in kept})) for v in range(n)}))
-            return PermGroup(n, gens, orbits, (kept,))
-        return _Engine(self.graph, colors, self.budget).group()
+        gens = tuple(p for p, get in self._filter if get(key) == key)
+        kept = (identity_perm(n),) + gens
+        # the kept elements form a group, so the orbit of v is its set of images
+        orbits = tuple(sorted({tuple(sorted({p[v] for p in kept})) for v in range(n)}))
+        return PermGroup(n, gens, orbits, (kept,))
 
     def pointwise_trivial(self, vertices: Iterable[int]) -> bool:
-        colors = pointwise_colors(self.graph.n, vertices)
-        if self._filter is not None:
-            mask = sum(1 << v for v, c in enumerate(colors) if c)
-            for _, _, fixed in self._filter:
-                if fixed & mask == mask:
-                    return False
-            return True
-        return _Engine(self.graph, colors, self.budget).first_nontrivial() is None
+        """True iff only the identity fixes every vertex of ``vertices``."""
+        return self.first_nontrivial(pointwise_colors(self.graph.n, vertices)) is None
 
     def subset_orbit(self, vertices: Iterable[int]) -> set[frozenset[int]]:
         """Orbit of a vertex set under the full group's generators."""

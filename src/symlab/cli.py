@@ -66,8 +66,11 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise _CliError(f"cannot write --output: {exc}") from exc
     else:
         try:
             print(text, flush=True)
@@ -95,7 +98,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             g = parse_graph6(report.graph6)
         except (OSError, ValueError) as exc:
             raise _CliError(f"cannot load report: {exc}") from exc
-        problems = check_witnesses(g, report, budget=budget)
+        problems = check_witnesses(g, report, ctx=AutContext(g, Budget(budget)))
         if problems:
             for p in problems:
                 print(f"witness check failed: {p}", file=sys.stderr)

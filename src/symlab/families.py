@@ -8,7 +8,6 @@ square-root form without ever taking a square root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 
@@ -82,33 +81,3 @@ def corona_cost_bound(cost_g: int, n: int, cost_h: int) -> int:
     distinguishing number equals the larger of the factors'."""
     return cost_g + n * cost_h
 
-
-@dataclass(frozen=True)
-class FriendshipFacts:
-    """Bundle of the closed-form values for one friendship graph."""
-
-    n: int
-    distinguishing_number: int
-    threshold: int
-    offset: int
-    cost: int
-    determining_number: int
-
-    @classmethod
-    def of(cls, n: int) -> "FriendshipFacts":
-        j = friendship_distinguishing_number(n)
-        k = friendship_threshold(j)
-        offset = n - k
-        facts = cls(
-            n=n,
-            distinguishing_number=j,
-            threshold=k,
-            offset=offset,
-            cost=friendship_cost(n),
-            determining_number=friendship_determining_number(n),
-        )
-        if not k <= n < friendship_threshold(j + 1):
-            raise OutOfRangeError(f"n={n} outside the threshold band of j={j}")
-        if not 0 <= offset <= j - 2:
-            raise OutOfRangeError(f"offset {offset} outside 0..{j - 2} for j={j}")
-        return facts

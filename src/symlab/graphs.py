@@ -14,7 +14,7 @@ index layout so that vertex sets appearing in reports are reproducible:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -53,7 +53,6 @@ class Graph:
 
     n: int
     adj: tuple[frozenset[int], ...]
-    names: tuple[str, ...] | None = field(default=None, compare=False)
 
     @cached_property
     def adj_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -83,11 +82,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
-    def name_of(self, v: int) -> str:
-        if self.names is not None:
-            return self.names[v]
-        return str(v)
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return False
@@ -109,7 +103,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _build(n: int, edges: Iterable[tuple[int, int]], names: tuple[str, ...] | None = None) -> Graph:
+def _build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if n < 1:
         raise GraphError(f"graph order must be >= 1, got {n}")
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -120,7 +114,7 @@ def _build(n: int, edges: Iterable[tuple[int, int]], names: tuple[str, ...] | No
             raise GraphError(f"self-loop ({u}, {v}) not allowed")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, tuple(frozenset(s) for s in adj), names)
+    return Graph(n, tuple(frozenset(s) for s in adj))
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -165,22 +159,20 @@ def hypercube(k: int) -> Graph:
         raise GraphError(f"hypercube dimension must be >= 0, got {k}")
     n = 1 << k
     edges = ((v, v ^ (1 << b)) for v in range(n) for b in range(k) if v < v ^ (1 << b))
-    names = tuple(format(v, f"0{k}b") if k else "0" for v in range(n))
-    return _build(n, edges, names)
+    return _build(n, edges)
 
 
 def friendship(n: int) -> Graph:
     """n triangles sharing one hub vertex; order 2n+1, size 3n.
 
-    Hub = index 0 (named "w"); outer vertices v_1..v_2n at indices 1..2n,
+    Hub = index 0; outer vertices v_1..v_2n at indices 1..2n,
     with {v_{2q-1}, v_{2q}} completing the q-th triangle.
     """
     if n < 2:
         raise GraphError(f"friendship graph needs at least 2 triangles, got {n}")
     edges = [(0, i) for i in range(1, 2 * n + 1)]
     edges += [(2 * q - 1, 2 * q) for q in range(1, n + 1)]
-    names = ("w",) + tuple(f"v_{i}" for i in range(1, 2 * n + 1))
-    return _build(2 * n + 1, edges, names)
+    return _build(2 * n + 1, edges)
 
 
 def corona(g: Graph, h: Graph) -> Graph:
@@ -195,11 +187,7 @@ def corona(g: Graph, h: Graph) -> Graph:
         base = g.n + i * h.n
         edges += [(base + u, base + v) for u, v in h.edges()]
         edges += [(i, base + u) for u in range(h.n)]
-    base_names = g.names if g.names is not None else tuple(f"v_{i + 1}" for i in range(g.n))
-    copy_names = tuple(
-        f"w_{i + 1}_{j + 1}" for i in range(g.n) for j in range(h.n)
-    )
-    return _build(n, edges, base_names + copy_names)
+    return _build(n, edges)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -212,8 +200,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
             raise GraphError(f"vertex {v} out of range for order {g.n}")
     index = {v: i for i, v in enumerate(vs)}
     edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
-    names = tuple(g.name_of(v) for v in vs) if g.names is not None else None
-    return _build(len(vs), edges, names), index
+    return _build(len(vs), edges), index
 
 
 # ---------------------------------------------------------------------------

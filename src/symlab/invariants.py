@@ -37,14 +37,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .aut import AutContext, Budget, Coloring, Perm, invert, labeling_colors, pointwise_colors
+from .aut import AutContext, Coloring, Perm, invert, labeling_colors, pointwise_colors
 from .graphs import Graph, emit_graph6
-
-
-def _make_ctx(g: Graph, budget: int | None, ctx: AutContext | None) -> AutContext:
-    if ctx is not None:
-        return ctx
-    return AutContext(g, Budget(budget) if budget is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +158,9 @@ def _search_cost_class(ctx: AutContext, d: int, cls: Sequence[int]) -> list[int]
 # public invariants
 # ---------------------------------------------------------------------------
 
-def distinguishing_number(g: Graph, budget: int | None = None,
-                          ctx: AutContext | None = None) -> tuple[int, Coloring]:
+def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, Coloring]:
     """Least d admitting a distinguishing d-labeling, with a witness."""
-    ctx = _make_ctx(g, budget, ctx)
+    ctx = ctx or AutContext(g)
     if ctx.full.order == 1:
         return 1, Coloring.uniform(g.n)
     for d in range(2, g.n + 1):
@@ -195,11 +188,11 @@ def _class_candidates(ctx: AutContext, k: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(n), k)
 
 
-def cost(g: Graph, d: int | None = None, budget: int | None = None,
-         ctx: AutContext | None = None, det_hint: int | None = None) -> tuple[int, Coloring]:
+def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
+         det_hint: int | None = None) -> tuple[int, Coloring]:
     """Minimum label-class size over distinguishing labelings at the graph's
     own distinguishing number, with a witness labeling."""
-    ctx = _make_ctx(g, budget, ctx)
+    ctx = ctx or AutContext(g)
     if d is None:
         d, _ = distinguishing_number(g, ctx=ctx)
     n = g.n
@@ -217,8 +210,7 @@ def cost(g: Graph, d: int | None = None, budget: int | None = None,
     raise AssertionError("no distinguishing labeling found at the known distinguishing number")
 
 
-def determining_number(g: Graph, budget: int | None = None,
-                       ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
+def determining_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
     """Size of a minimum determining set plus the lexicographically least witness.
 
     Iterative-deepening base search over sorted prefixes P: P grows only by
@@ -226,7 +218,7 @@ def determining_number(g: Graph, budget: int | None = None,
     least in their G_P-orbit.  Each prefix's extensions are computed once per
     call, so deeper rounds reuse the stabilizer orbits of shallower ones.
     """
-    ctx = _make_ctx(g, budget, ctx)
+    ctx = ctx or AutContext(g)
     if ctx.full.order == 1:
         return 0, ()
     n = g.n
@@ -262,18 +254,16 @@ def determining_number(g: Graph, budget: int | None = None,
     raise AssertionError("the full vertex set always determines")
 
 
-def is_determining_set(g: Graph, vertices: Iterable[int], budget: int | None = None,
-                       ctx: AutContext | None = None) -> bool:
+def is_determining_set(g: Graph, vertices: Iterable[int], ctx: AutContext | None = None) -> bool:
     """True iff automorphisms agreeing on ``vertices`` agree everywhere."""
-    ctx = _make_ctx(g, budget, ctx)
-    return ctx.pointwise_trivial(vertices)
+    return (ctx or AutContext(g)).pointwise_trivial(vertices)
 
 
-def minimum_determining_sets(g: Graph, cap: int = 1000, budget: int | None = None,
-                             ctx: AutContext | None = None) -> tuple[list[tuple[int, ...]], bool]:
+def minimum_determining_sets(g: Graph, cap: int = 1000, ctx: AutContext | None = None
+                             ) -> tuple[list[tuple[int, ...]], bool]:
     """All minimum determining sets in lexicographic order, up to ``cap``;
     the flag reports truncation."""
-    ctx = _make_ctx(g, budget, ctx)
+    ctx = ctx or AutContext(g)
     k, _ = determining_number(g, ctx=ctx)
     if k == 0:
         return [()], False
@@ -291,7 +281,6 @@ def minimum_determining_sets(g: Graph, cap: int = 1000, budget: int | None = Non
 # ---------------------------------------------------------------------------
 
 def subset_is_d_distinguishable(g: Graph, w: Iterable[int], labeling: Mapping[int, int],
-                                budget: int | None = None,
                                 ctx: AutContext | None = None) -> bool:
     """True iff every automorphism fixing ``w`` setwise and preserving the
     label classes of ``w`` fixes ``w`` pointwise.
@@ -305,7 +294,7 @@ def subset_is_d_distinguishable(g: Graph, w: Iterable[int], labeling: Mapping[in
         raise ValueError("labeling must assign exactly the vertices of w")
     if not ws:
         return True
-    ctx = _make_ctx(g, budget, ctx)
+    ctx = ctx or AutContext(g)
     group = ctx.group(labeling_colors(g.n, labeling, 0))
     moved = {v for orbit in group.orbits if len(orbit) > 1 for v in orbit}
     return not any(v in moved for v in ws)
@@ -334,14 +323,14 @@ def _partitions_into(items: Sequence[int], blocks: int) -> Iterator[dict[int, in
 
 
 def subset_distinguishing_witness(g: Graph, w: Iterable[int], upto: int | None = None,
-                                  budget: int | None = None, ctx: AutContext | None = None
+                                  ctx: AutContext | None = None
                                   ) -> tuple[int, dict[int, int]] | None:
     """Least d with a labeling making ``w`` d-distinguishable, plus a witness;
     None when the minimum exceeds ``upto``."""
     ws = sorted(set(w))
     if not ws:
         return (1, {})
-    ctx = _make_ctx(g, budget, ctx)
+    ctx = ctx or AutContext(g)
     limit = len(ws) if upto is None else min(upto, len(ws))
     for d in range(1, limit + 1):
         for labeling in _partitions_into(ws, d):
@@ -351,13 +340,6 @@ def subset_distinguishing_witness(g: Graph, w: Iterable[int], upto: int | None =
         return None
     # labeling every vertex of w distinctly always qualifies
     raise AssertionError("all-distinct subset labeling must distinguish")
-
-
-def subset_distinguishing_number(g: Graph, w: Iterable[int], upto: int | None = None,
-                                 budget: int | None = None,
-                                 ctx: AutContext | None = None) -> int | None:
-    got = subset_distinguishing_witness(g, w, upto=upto, budget=budget, ctx=ctx)
-    return None if got is None else got[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +384,9 @@ class InvariantReport:
     @classmethod
     def from_dict(cls, data: Mapping) -> "InvariantReport":
         """Parse a ``to_dict`` mapping; raises ValueError when a key is missing,
-        graph6 is not a string, n is not a count, a witness vertex is not a
-        vertex, or the witness labeling does not label exactly n vertices."""
+        graph6 is not a string, n is not a count, a number or class size is not
+        an integer, a witness vertex is not a vertex, or the witness labeling
+        does not label exactly n vertices."""
         if not isinstance(data, Mapping):
             raise ValueError(f"report must be a JSON object, got {type(data).__name__}")
         missing = [k for k in _REPORT_KEYS if k not in data]
@@ -414,6 +397,12 @@ class InvariantReport:
         n = data["n"]
         if not _is_int(n) or n < 0:
             raise ValueError(f"report n must be a non-negative integer, got {n!r}")
+        for key in ("aut_order", "D", "rho", "det"):
+            if not _is_int(data[key]):
+                raise ValueError(f"report {key} must be an integer, got {data[key]!r}")
+        sizes = data["class_sizes"]
+        if not isinstance(sizes, (list, tuple)) or not all(map(_is_int, sizes)):
+            raise ValueError(f"class_sizes must list integers, got {sizes!r}")
         det_set = data["witness_det_set"]
         if not isinstance(det_set, (list, tuple)) or not all(
                 _is_int(v) and 0 <= v < n for v in det_set):
@@ -434,11 +423,10 @@ class InvariantReport:
         )
 
 
-def invariant_report(g: Graph, budget: int | None = None,
-                     ctx: AutContext | None = None) -> InvariantReport:
+def invariant_report(g: Graph, ctx: AutContext | None = None) -> InvariantReport:
     """Compute all invariants; the stored labeling is the cost witness, so its
     smallest class size equals the cost."""
-    ctx = _make_ctx(g, budget, ctx)
+    ctx = ctx or AutContext(g)
     d, _ = distinguishing_number(g, ctx=ctx)
     det, det_witness = determining_number(g, ctx=ctx)
     rho, rho_witness = cost(g, d=d, ctx=ctx, det_hint=det)
@@ -455,11 +443,11 @@ def invariant_report(g: Graph, budget: int | None = None,
     )
 
 
-def check_witnesses(g: Graph, report: InvariantReport, budget: int | None = None,
+def check_witnesses(g: Graph, report: InvariantReport,
                     ctx: AutContext | None = None) -> list[str]:
     """Re-verify a report's witnesses against the graph; returns problems."""
     problems: list[str] = []
-    ctx = _make_ctx(g, budget, ctx)
+    ctx = ctx or AutContext(g)
     if g.n != report.n:
         problems.append(f"order mismatch: graph has {g.n}, report says {report.n}")
         return problems

@@ -3,8 +3,7 @@
 Each registered check runs one exact statement against a corpus and reports
 one of: ``verified``, ``counterexample`` (with a replayable payload),
 ``hypothesis-never-met`` (the gate of a conditional statement never held,
-which is deliberately not a pass), ``not-refuted`` (a restricted probe found
-no witness but also no counterexample), or ``budget-exceeded``.
+which is deliberately not a pass), or ``budget-exceeded``.
 
 A check is one registry entry that carries its callable.  The corpus kind
 picks the loop that calls it: bound checks get one verdict per graph of a
@@ -186,13 +185,14 @@ def corpus(spec: str) -> Iterator[Graph]:
 # verdicts and their aggregation
 # ---------------------------------------------------------------------------
 
-# (hypothesis met, outcome, payload); outcome is "ok", "fail", "budget",
-# "open" (probe exhausted without witness) or "widened" (Thm1.1 verified
-# through its constructive fallback)
+# (hypothesis met, outcome, payload); outcome is "ok", "fail", "budget" or
+# "widened" (Thm1.1 verified through its constructive fallback)
 Verdict = tuple[bool, str, dict | None]
 
 _OK: Verdict = (True, "ok", None)
 _UNMET: Verdict = (False, "ok", None)
+# a search outside the bound pass ran out of budget, so no hypothesis is known to hold
+_BUDGET: Verdict = (False, "budget", None)
 
 
 def _fail(g6: str, reason: str, **extra) -> Verdict:
@@ -211,11 +211,6 @@ def _aggregate(theorem_id: str, corpus_desc: str, verdicts: list[Verdict],
     if any(v[1] == "budget" for v in verdicts):
         return TheoremReport(theorem_id, corpus_desc, checked, hyp,
                              "budget-exceeded", None, notes)
-    if any(v[1] == "open" for v in verdicts):
-        opens = sum(1 for v in verdicts if v[1] == "open")
-        extra = f"restricted probe found no witness on {opens} graph(s)"
-        return TheoremReport(theorem_id, corpus_desc, checked, hyp, "not-refuted",
-                             None, f"{notes}; {extra}" if notes else extra)
     widened = sum(1 for v in verdicts if v[1] == "widened")
     if widened:
         extra = (f"on {widened} graph(s) no minimum determining set qualified; "
@@ -549,9 +544,8 @@ def _thm41(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
            budget_cap: int) -> Verdict:
     if not (g.is_connected() and h.is_connected() and g.n >= 2 and h.n >= 2):
         return _UNMET
-    det_g = determining_number(g, budget=budget_cap)[0]
-    det_h = determining_number(h, budget=budget_cap)[0]
-    det_prod = determining_number(prod, budget=budget_cap)[0]
+    det_g, det_h, det_prod = (determining_number(x, ctx=AutContext(x, Budget(budget_cap)))[0]
+                              for x in (g, h, prod))
     want = families.corona_determining_number(det_g, g.n, det_h)
     if det_prod != want:
         return _fail(emit_graph6(prod), "corona determining mismatch",
@@ -566,8 +560,8 @@ def _thm42(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
         raise CorpusError("pendant corona check needs the second factor to be complete:1")
     if not (g.is_connected() and g.n >= 2):
         return _UNMET
-    det_g = determining_number(g, budget=budget_cap)[0]
-    det_prod = determining_number(prod, budget=budget_cap)[0]
+    det_g, det_prod = (determining_number(x, ctx=AutContext(x, Budget(budget_cap)))[0]
+                       for x in (g, prod))
     if det_prod != families.corona_pendant_determining_number(det_g):
         return _fail(emit_graph6(prod), "pendant corona determining mismatch",
                      pair=gs.to_string(), computed=det_prod, base=det_g)
@@ -597,6 +591,15 @@ def _thm43(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
     return _OK
 
 
+def _corona_verdict(run: Callable, pair: tuple, budget_cap: int) -> Verdict:
+    """One pair's verdict; a pair that runs out of budget keeps the verdicts
+    of the other pairs, a counterexample among them included."""
+    try:
+        return run(*pair, budget_cap)
+    except BudgetExceededError:
+        return _BUDGET
+
+
 def _corona_degree(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
                    budget_cap: int) -> Verdict:
     if not (g.is_connected() and h.is_connected() and g.n >= 2):
@@ -613,10 +616,13 @@ def _corona_degree(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Gra
 # hypercube cost sanity (informative, fixed corpus)
 # ---------------------------------------------------------------------------
 
-def _run_hypercube(budget_cap: int, dims: Sequence[int] = (3, 4)) -> TheoremReport:
+_HYPERCUBE_DIMS = (3, 4)
+
+
+def _run_hypercube(budget_cap: int) -> tuple[list[Verdict], str]:
     verdicts: list[Verdict] = []
     values = {}
-    for k in dims:
+    for k in _HYPERCUBE_DIMS:
         g = hypercube(k)
         ctx = AutContext(g, Budget(budget_cap))
         d, _ = distinguishing_number(g, ctx=ctx)
@@ -627,10 +633,7 @@ def _run_hypercube(budget_cap: int, dims: Sequence[int] = (3, 4)) -> TheoremRepo
         verdicts.append(_OK if lo <= rho <= hi else
                         _fail(emit_graph6(g), "cost outside the quoted log bounds",
                               dim=k, rho=rho, low=lo, high=hi))
-    report = _aggregate("HypercubeCost", f"hypercube dims {list(dims)}", verdicts,
-                        len(dims), notes=f"computed costs {values} (informative check)")
-    report.informative = True
-    return report
+    return verdicts, f"computed costs {values} (informative check)"
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +691,9 @@ _REGISTRY: dict[str, CheckDef] = {c.theorem_id: c for c in (
              "corona cost bound when the label counts agree", _thm43),
     CheckDef("CoronaDegree", "corona", f"corona-pairs:{_THM41_PAIRS}",
              "no copy vertex shares a degree with a base vertex", _corona_degree),
-    CheckDef("HypercubeCost", "hypercube", "hypercube dims [3, 4]", "hypercube cost lies "
-             "within the quoted logarithmic bounds (informative)", _run_hypercube),
+    CheckDef("HypercubeCost", "hypercube", f"hypercube dims {list(_HYPERCUBE_DIMS)}",
+             "hypercube cost lies within the quoted logarithmic bounds (informative)",
+             _run_hypercube),
 )}
 
 
@@ -702,7 +706,9 @@ def run_suite(ids: Sequence[str] | None = None, corpus_override: str | None = No
     """Run the selected checks (default: all) and return their reports.
 
     The bound checks share one corpus pass and run first, then the
-    friendship checks, then the rest, each group in the order given."""
+    friendship checks, then the rest, each group in the order given.  A
+    check whose search runs out of budget reports ``budget-exceeded``, and
+    the checks after it still run."""
     if ids is None:
         ids = list(_REGISTRY)
     for check in ids:
@@ -720,18 +726,24 @@ def run_suite(ids: Sequence[str] | None = None, corpus_override: str | None = No
     rest = [c for c in ids if _REGISTRY[c].kind != "bound"]
     for entry in sorted((_REGISTRY[c] for c in rest), key=lambda e: e.kind != "friendship"):
         spec = corpus_override or entry.default_corpus
-        if entry.kind == "friendship":
-            a, b = _friendship_range(_corpus_rest(spec, "friendship"))
-            verdicts, notes = entry.run(a, b, vals)
-            report = _aggregate(entry.theorem_id, spec, verdicts, b - a + 1, notes)
-        elif entry.kind == "corona":
-            pairs = _corona_pairs(_corpus_rest(spec, "corona-pairs"))
-            verdicts = [entry.run(*pair, budget_cap) for pair in pairs]
-            report = _aggregate(entry.theorem_id, spec, verdicts, len(pairs))
-        elif corpus_override is not None:
+        if entry.kind == "hypercube" and corpus_override is not None:
             raise CorpusError("the hypercube check has a fixed corpus")
-        else:
-            report = entry.run(budget_cap)
+        try:
+            if entry.kind == "friendship":
+                a, b = _friendship_range(_corpus_rest(spec, "friendship"))
+                checked = b - a + 1
+                verdicts, notes = entry.run(a, b, vals)
+            elif entry.kind == "corona":
+                pairs = _corona_pairs(_corpus_rest(spec, "corona-pairs"))
+                checked, notes = len(pairs), None
+                verdicts = [_corona_verdict(entry.run, pair, budget_cap) for pair in pairs]
+            else:
+                checked = len(_HYPERCUBE_DIMS)
+                verdicts, notes = entry.run(budget_cap)
+        except BudgetExceededError:
+            verdicts, notes = [_BUDGET], None
+        report = _aggregate(entry.theorem_id, spec, verdicts, checked, notes)
+        report.informative = entry.kind == "hypercube"
         reports[entry.theorem_id] = report
     return [reports[c] for c in ids]
 

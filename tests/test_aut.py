@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 import _oracles
 from symlab import (AutContext, Budget, BudgetExceededError, Coloring, automorphisms,
                     brute_force_automorphisms, complete, cycle, enumerate_elements,
-                    friendship, from_edge_list, hypercube, is_color_rigid, path,
-                    pointwise_stabilizer_is_trivial, refine)
+                    friendship, from_edge_list, hypercube, is_determining_set, path,
+                    refine)
 from symlab import aut
 from symlab.aut import ColoringError, identity_perm
 
@@ -94,18 +94,18 @@ def test_colored_orders_on_path():
 
 
 def test_is_color_rigid_examples():
-    assert is_color_rigid(path(3), Coloring((1, 1, 2)))
-    assert is_color_rigid(complete(3), Coloring((1, 2, 3)))
-    assert not is_color_rigid(cycle(4), Coloring.uniform(4))
+    assert automorphisms(path(3), Coloring((1, 1, 2))).is_trivial
+    assert automorphisms(complete(3), Coloring((1, 2, 3))).is_trivial
+    assert not automorphisms(cycle(4), Coloring.uniform(4)).is_trivial
 
 
 def test_pointwise_stabilizer_examples():
     f2 = friendship(2)
-    assert pointwise_stabilizer_is_trivial(f2, [1, 3])
-    assert not pointwise_stabilizer_is_trivial(f2, [1])
-    assert pointwise_stabilizer_is_trivial(f2, range(5))
+    assert is_determining_set(f2, [1, 3])
+    assert not is_determining_set(f2, [1])
+    assert is_determining_set(f2, range(5))
     with pytest.raises(ValueError):
-        pointwise_stabilizer_is_trivial(f2, [99])
+        is_determining_set(f2, [99])
 
 
 def test_orbits_and_enumeration():
@@ -222,6 +222,11 @@ def test_context_backends_agree(rng, monkeypatch):
                 if found is not None:
                     assert found != identity_perm(n) and found in kept
                 assert ctx.is_rigid(colors) == rigid
+                # a color vector needs exactly one entry per vertex
+                for bad in (colors + [0], colors[1:]):
+                    for query in (ctx.first_nontrivial, ctx.is_rigid, ctx.group):
+                        with pytest.raises(ColoringError):
+                            query(bad)
             got, want = cached.group(colors), searched.group(colors)
             assert got.order == want.order == len(kept)
             assert got.orbits == want.orbits

@@ -111,7 +111,8 @@ def test_check_witness_rejects_malformed_witnesses(capsys, tmp_path):
     good = json.loads(report.read_text())
     for key, value in [("witness_det_set", [99]), ("witness_det_set", [-1]),
                        ("witness_det_set", ["0"]), ("witness_det_set", [True]),
-                       ("witness_labeling", [1, 2, 1]), ("n", "4"), ("graph6", 5)]:
+                       ("witness_labeling", [1, 2, 1]), ("n", "4"), ("graph6", 5),
+                       ("class_sizes", 5), ("aut_order", "2")]:
         report.write_text(json.dumps({**good, key: value}))
         code, _, err = run(capsys, "compute", "--check-witness", str(report))
         assert code == 2 and "cannot load report" in err, (key, value)
@@ -167,6 +168,27 @@ def test_verify_budget_exit(capsys):
     code, _, _ = run(capsys, "verify", "--suite", "Prop2.2",
                      "--corpus", "all-connected:4", "--budget", "3")
     assert code == 3
+
+
+def test_verify_budget_exceeded_outside_bound_pass(capsys):
+    # a friendship check that runs out of budget reports it, and the
+    # remaining checks still run
+    code, out, _ = run(capsys, "verify", "--suite", "Thm3.1,Prop2.2",
+                       "--corpus", "friendship:2..4", "--budget", "5", "--json")
+    assert code == 3
+    assert [(r["theorem_id"], r["status"]) for r in json.loads(out)] == [
+        ("Thm3.1", "budget-exceeded"), ("Prop2.2", "budget-exceeded")]
+    # a corona pair that runs out of budget does not hide another pair's
+    # counterexample
+    code, out, _ = run(capsys, "verify", "--suite", "Thm4.1", "--corpus",
+                       "corona-pairs:(path:3),(complete:2);(cycle:6),(complete:4)",
+                       "--budget", "200", "--json")
+    assert code == 1 and json.loads(out)[0]["status"] == "counterexample"
+    # an informative check reports the overrun without setting the exit code
+    code, out, _ = run(capsys, "verify", "--suite", "HypercubeCost", "--budget", "5", "--json")
+    assert code == 0
+    [report] = json.loads(out)
+    assert report["status"] == "budget-exceeded" and report["informative"]
 
 
 def test_verify_malformed_corpus_file_is_usage_error(capsys, tmp_path):
@@ -236,6 +258,19 @@ def test_verify_malformed_corona_pair_is_usage_error(capsys):
                              "--corpus", f"corona-pairs:{pairs}")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "corona pair" in err
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    src = tmp_path / "g.g6"
+    src.write_text("Bg\n")
+    commands = [("compute", "--family", "path:3"),
+                ("verify", "--suite", "Thm3.4", "--corpus", "friendship:2..3"),
+                ("convert", "--from", "g6", "--to", "edgelist", str(src))]
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        for argv in commands:
+            code, out, err = run(capsys, *argv, "--output", str(target))
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: ") and "--output" in err, argv
 
 
 # ---------------------------------------------------------------------------

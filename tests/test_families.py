@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from symlab import (FriendshipFacts, corona_cost_bound, corona_determining_number,
+from symlab import (corona_cost_bound, corona_determining_number,
                     corona_pendant_determining_number, friendship_cost,
                     friendship_determining_number, friendship_distinguishing_number,
                     friendship_gap, friendship_threshold)
@@ -77,13 +77,14 @@ def test_corona_formulas():
 
 
 def test_facts_bundle():
-    facts = FriendshipFacts.of(6)
-    assert facts.distinguishing_number == 4
-    assert facts.threshold == 4
-    assert facts.offset == 2
-    assert facts.cost == 3
-    assert facts.determining_number == 6
+    # n = 6 needs 4 labels, the 4-label band starts at n = 4, so the offset
+    # into the band is 2 and the cost is 3
+    j = friendship_distinguishing_number(6)
+    assert (j, friendship_threshold(j), friendship_cost(6)) == (4, 4, 3)
+    assert friendship_determining_number(6) == 6
     for n in range(2, 60):
-        f = FriendshipFacts.of(n)
-        assert f.cost == f.offset + 1
-        assert 0 <= f.offset <= f.distinguishing_number - 2
+        j = friendship_distinguishing_number(n)
+        offset = n - friendship_threshold(j)
+        assert friendship_threshold(j) <= n < friendship_threshold(j + 1)
+        assert 0 <= offset <= j - 2
+        assert friendship_cost(n) == offset + 1

@@ -43,7 +43,7 @@ def test_friendship_layout():
     f2 = friendship(2)
     assert f2.n == 5
     assert sorted(f2.degree(v) for v in range(5)) == [2, 2, 2, 2, 4]
-    assert f2.degree(0) == 4 and f2.names[0] == "w" and f2.names[1] == "v_1"
+    assert f2.degree(0) == 4 and f2.degree(1) == 2  # the hub is index 0
 
     assert friendship(15).n == 31
 

@@ -4,10 +4,10 @@ from pathlib import Path
 import pytest
 
 import _oracles
-from symlab import (AutContext, Coloring, InvariantReport, check_witnesses, complete,
-                    corona, cost, cycle, determining_number, distinguishing_number,
-                    friendship, invariant_report, is_color_rigid, is_determining_set,
-                    minimum_determining_sets, path, star, subset_distinguishing_number,
+from symlab import (AutContext, Budget, Coloring, InvariantReport, automorphisms,
+                    check_witnesses, complete, corona, cost, cycle, determining_number,
+                    distinguishing_number, friendship, invariant_report, is_determining_set,
+                    minimum_determining_sets, path, star, subset_distinguishing_witness,
                     subset_is_d_distinguishable)
 
 
@@ -30,7 +30,7 @@ def test_distinguishing_witness_is_rigid():
     for g in [path(4), friendship(3), cycle(4), complete(4), star(4)]:
         d, witness = distinguishing_number(g)
         assert witness.num_labels == d
-        assert is_color_rigid(g, witness)
+        assert automorphisms(g, witness).is_trivial
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_cost_witness_properties():
         rho, witness = cost(g, d=d, ctx=ctx)
         assert witness.num_labels == d
         assert min(witness.class_sizes()) == rho
-        assert is_color_rigid(g, witness)
+        assert automorphisms(g, witness).is_trivial
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +119,9 @@ def test_minimum_determining_sets():
 def test_subset_examples():
     assert subset_is_d_distinguishable(path(3), [0], {0: 1})
     assert not subset_is_d_distinguishable(cycle(4), [0, 2], {0: 1, 2: 1})
-    assert subset_distinguishing_number(path(3), []) == 1
-    assert subset_distinguishing_number(friendship(2), [1, 3]) == 2
-    assert subset_distinguishing_number(complete(3), [0, 1]) == 2
+    assert subset_distinguishing_witness(path(3), []) == (1, {})
+    assert subset_distinguishing_witness(friendship(2), [1, 3])[0] == 2
+    assert subset_distinguishing_witness(complete(3), [0, 1])[0] == 2
     with pytest.raises(ValueError):
         subset_is_d_distinguishable(path(3), [0, 1], {0: 1})
 
@@ -134,19 +134,21 @@ def test_subset_full_set_matches_rigidity(rng):
         labels = tuple(lut.setdefault(x, len(lut) + 1) for x in raw)
         labeling = {v: labels[v] for v in range(g.n)}
         assert (subset_is_d_distinguishable(g, range(g.n), labeling)
-                == is_color_rigid(g, Coloring(labels)))
+                == automorphisms(g, Coloring(labels)).is_trivial)
 
 
 def test_subset_distinguishing_matches_brute(rng):
     for _ in range(25):
         g = _oracles.random_graph(rng, rng.randint(2, 5))
         w = [v for v in range(g.n) if rng.random() < 0.6]
-        assert subset_distinguishing_number(g, w) == _oracles.brute_subset_distinguishing(g, w)
+        d, labeling = subset_distinguishing_witness(g, w)
+        assert d == _oracles.brute_subset_distinguishing(g, w)
+        assert subset_is_d_distinguishable(g, w, labeling)
 
 
 def test_subset_upto_cutoff():
     # the cycle pair needs 2 labels, so a cutoff of 1 reports None
-    assert subset_distinguishing_number(cycle(4), [0, 2], upto=1) is None
+    assert subset_distinguishing_witness(cycle(4), [0, 2], upto=1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +222,7 @@ def test_disconnected_graphs_are_accepted():
     ctx = AutContext(g)
     d, witness = distinguishing_number(g, ctx=ctx)
     assert d == _oracles.brute_distinguishing(g, elements) == 3
-    assert is_color_rigid(g, witness)
+    assert automorphisms(g, witness).is_trivial
     assert cost(g, d=d, ctx=ctx)[0] == _oracles.brute_cost(g, d, elements)
     assert determining_number(g, ctx=ctx) == _oracles.brute_determining(g, elements)
 
@@ -282,8 +284,9 @@ def test_cost_det_hint_never_cuts():
 def test_symmetric_reports_fit_small_budgets():
     # with stabilizer-orbit pruning these reports take 3,345 and 16,175 nodes;
     # scanning every k-subset for the determining set takes over 280,000
-    assert invariant_report(friendship(8), budget=10_000).determining_number == 8
-    assert invariant_report(corona(path(4), complete(3)), budget=40_000).cost == 4
+    g, h = friendship(8), corona(path(4), complete(3))
+    assert invariant_report(g, ctx=AutContext(g, Budget(10_000))).determining_number == 8
+    assert invariant_report(h, ctx=AutContext(h, Budget(40_000))).cost == 4
 
 
 def test_panel_reports_match_golden():
