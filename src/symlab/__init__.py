@@ -5,7 +5,7 @@ determining number of simple graphs via a colored-automorphism engine, and
 machine-checks a suite of exact statements about them on small-graph corpora.
 """
 
-from .aut import (AutContext, Budget, BudgetExceededError, Coloring, PermGroup,
+from .aut import (AutContext, Budget, BudgetExceededError, PermGroup,
                   automorphisms, brute_force_automorphisms, enumerate_elements, refine)
 from .families import (corona_cost_bound, corona_determining_number,
                        corona_pendant_determining_number, friendship_cost,
@@ -23,7 +23,7 @@ from .verifier import (TheoremReport, corpus, exit_code_for, registered_checks,
                        run_check, run_suite)
 
 __all__ = [
-    "AutContext", "Budget", "BudgetExceededError", "Coloring", "PermGroup",
+    "AutContext", "Budget", "BudgetExceededError", "PermGroup",
     "automorphisms", "brute_force_automorphisms", "enumerate_elements", "refine",
     "corona_cost_bound", "corona_determining_number",
     "corona_pendant_determining_number", "friendship_cost",

@@ -41,7 +41,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class ColoringError(ValueError):
-    """Labels are not a total map onto a contiguous range 1..d."""
+    """A color vector does not give exactly one color per vertex."""
 
 
 class Budget:
@@ -59,42 +59,6 @@ class Budget:
             raise BudgetExceededError(
                 f"search budget of {self.cap} nodes exhausted"
             )
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Total vertex labeling with labels 1..d; doubles as an ordered partition."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.labels:
-            raise ColoringError("coloring must label at least one vertex")
-        seen = set(self.labels)
-        d = max(seen)
-        if seen != set(range(1, d + 1)):
-            raise ColoringError(f"labels must form a contiguous range 1..d, got {sorted(seen)}")
-
-    @classmethod
-    def uniform(cls, n: int) -> "Coloring":
-        return cls((1,) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def num_labels(self) -> int:
-        return max(self.labels)
-
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_labels)]
-        for v, c in enumerate(self.labels):
-            out[c - 1].append(v)
-        return out
-
-    def class_sizes(self) -> list[int]:
-        return [len(c) for c in self.classes()]
 
 
 @dataclass(frozen=True)
@@ -310,18 +274,21 @@ class _Engine:
 # public operations
 # ---------------------------------------------------------------------------
 
-def _root_colors(g: Graph, coloring: Coloring | None) -> list[int]:
-    if coloring is None:
-        return [0] * g.n
-    if coloring.n != g.n:
-        raise ColoringError(f"coloring has {coloring.n} labels for a graph of order {g.n}")
-    return list(coloring.labels)
+def _color_key(n: int, colors: Sequence[int] | None) -> tuple[int, ...]:
+    """A coloring as a tuple: any int vector of length n, equal values
+    meaning the same class; None colors every vertex alike."""
+    if colors is None:
+        return (0,) * n
+    key = tuple(colors)
+    if len(key) != n:
+        raise ColoringError(f"{len(key)} colors for a graph of order {n}")
+    return key
 
 
-def automorphisms(g: Graph, coloring: Coloring | None = None, budget: Budget | None = None) -> PermGroup:
+def automorphisms(g: Graph, colors: Sequence[int] | None = None,
+                  budget: Budget | None = None) -> PermGroup:
     """Exact group of adjacency- and color-preserving permutations."""
-    budget = budget or Budget()
-    return _Engine(g, _root_colors(g, coloring), budget).group()
+    return _Engine(g, _color_key(g.n, colors), budget or Budget()).group()
 
 
 def labeling_colors(n: int, labeling: Mapping[int, int], rest: int) -> list[int]:
@@ -338,7 +305,7 @@ def labeling_colors(n: int, labeling: Mapping[int, int], rest: int) -> list[int]
 
 
 def pointwise_colors(n: int, vertices: Iterable[int]) -> list[int]:
-    """Coloring that individualizes ``vertices``: the i-th smallest gets color
+    """Color vector that individualizes ``vertices``: the i-th smallest gets color
     i + 1, every other vertex color 0.  Its colored group is the pointwise
     stabilizer of the set."""
     colors = [0] * n
@@ -357,7 +324,8 @@ def enumerate_elements(group: PermGroup) -> Iterator[Perm]:
         yield reduce(compose, reps, ident)
 
 
-def brute_force_automorphisms(g: Graph, coloring: Coloring | None = None, max_order: int = 8) -> list[Perm]:
+def brute_force_automorphisms(g: Graph, colors: Sequence[int] | None = None,
+                              max_order: int = 8) -> list[Perm]:
     """Oracle: filter all n! permutations for adjacency and color preservation.
 
     Independent of the refinement search (it shares only the preservation
@@ -365,16 +333,15 @@ def brute_force_automorphisms(g: Graph, coloring: Coloring | None = None, max_or
     """
     if g.n > max_order:
         raise ValueError(f"brute force limited to order {max_order}, got {g.n}")
-    colors, bits = _root_colors(g, coloring), g.adj_bits
+    colors, bits = _color_key(g.n, colors), g.adj_bits
     return [s for s in itertools.permutations(range(g.n)) if _is_automorphism(bits, colors, s)]
 
 
-def refine(g: Graph, coloring: Coloring, budget: Budget | None = None) -> Coloring:
-    """Coarsest equitable refinement of a coloring (stable, deterministic,
-    automorphism-invariant; refines the input label classes in order)."""
-    budget = budget or Budget()
-    colors = _Engine(g, _root_colors(g, coloring), budget).refine(coloring.labels)
-    return Coloring(tuple(c + 1 for c in colors))
+def refine(g: Graph, colors: Sequence[int], budget: Budget | None = None) -> tuple[int, ...]:
+    """Coarsest equitable refinement of a coloring as class ids 0..k-1 (stable,
+    deterministic, automorphism-invariant; refines the input classes in order)."""
+    key = _color_key(g.n, colors)
+    return tuple(_Engine(g, key, budget or Budget()).refine(key))
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +372,8 @@ class AutContext:
             elements = sorted(enumerate_elements(self.full))
             self._filter = [(p, itemgetter(*p)) for p in elements[1:]]
 
-    # colors below are arbitrary integer vectors of length n: equal value =
-    # same class
-
-    def _key(self, colors: Sequence[int]) -> tuple[int, ...]:
-        key = tuple(colors)
-        if len(key) != self.graph.n:
-            raise ColoringError(f"{len(key)} colors for a graph of order {self.graph.n}")
-        return key
-
     def first_nontrivial(self, colors: Sequence[int]) -> Perm | None:
-        key = self._key(colors)
+        key = _color_key(self.graph.n, colors)
         if self._filter is None:
             return _Engine(self.graph, key, self.budget).first_nontrivial()
         for p, get in self._filter:
@@ -427,7 +385,7 @@ class AutContext:
         return self.first_nontrivial(colors) is None
 
     def group(self, colors: Sequence[int]) -> PermGroup:
-        key = self._key(colors)
+        key = _color_key(self.graph.n, colors)
         if self._filter is None:
             return _Engine(self.graph, key, self.budget).group()
         n = self.graph.n

@@ -34,10 +34,11 @@ witness reproducible.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .aut import AutContext, Coloring, Perm, invert, labeling_colors, pointwise_colors
+from .aut import AutContext, Perm, invert, labeling_colors, pointwise_colors
 from .graphs import Graph, emit_graph6
 
 
@@ -158,17 +159,17 @@ def _search_cost_class(ctx: AutContext, d: int, cls: Sequence[int]) -> list[int]
 # public invariants
 # ---------------------------------------------------------------------------
 
-def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, Coloring]:
-    """Least d admitting a distinguishing d-labeling, with a witness."""
+def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
+    """Least d admitting a distinguishing d-labeling, with a witness labeling."""
     ctx = ctx or AutContext(g)
     if ctx.full.order == 1:
-        return 1, Coloring.uniform(g.n)
+        return 1, (1,) * g.n
     for d in range(2, g.n + 1):
         got = _search_distinguishing(ctx, d)
         if got is not None:
             if max(got) != d:
                 raise AssertionError("distinguishing witness skipped a smaller label count")
-            return d, Coloring(tuple(got))
+            return d, tuple(got)
     raise AssertionError("all-distinct labeling must distinguish")
 
 
@@ -189,7 +190,7 @@ def _class_candidates(ctx: AutContext, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
-         det_hint: int | None = None) -> tuple[int, Coloring]:
+         det_hint: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Minimum label-class size over distinguishing labelings at the graph's
     own distinguishing number, with a witness labeling."""
     ctx = ctx or AutContext(g)
@@ -197,7 +198,7 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
         d, _ = distinguishing_number(g, ctx=ctx)
     n = g.n
     if d == 1:
-        return n, Coloring.uniform(n)
+        return n, (1,) * n
     for k in range(1, n + 1):
         if det_hint is not None and k > n - det_hint:
             raise AssertionError(
@@ -206,7 +207,7 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
         for cls in _class_candidates(ctx, k):
             got = _search_cost_class(ctx, d, cls)
             if got is not None:
-                return k, Coloring(tuple(got))
+                return k, tuple(got)
     raise AssertionError("no distinguishing labeling found at the known distinguishing number")
 
 
@@ -386,7 +387,7 @@ class InvariantReport:
         """Parse a ``to_dict`` mapping; raises ValueError when a key is missing,
         graph6 is not a string, n is not a count, a number or class size is not
         an integer, a witness vertex is not a vertex, or the witness labeling
-        does not label exactly n vertices."""
+        does not give exactly n integer labels."""
         if not isinstance(data, Mapping):
             raise ValueError(f"report must be a JSON object, got {type(data).__name__}")
         missing = [k for k in _REPORT_KEYS if k not in data]
@@ -408,8 +409,9 @@ class InvariantReport:
                 _is_int(v) and 0 <= v < n for v in det_set):
             raise ValueError(f"witness_det_set must list vertices 0..{n - 1}, got {det_set!r}")
         labeling = data["witness_labeling"]
-        if not isinstance(labeling, (list, tuple)) or len(labeling) != n:
-            raise ValueError(f"witness_labeling must list {n} labels, got {labeling!r}")
+        if not isinstance(labeling, (list, tuple)) or len(labeling) != n or not all(
+                map(_is_int, labeling)):
+            raise ValueError(f"witness_labeling must list {n} integer labels, got {labeling!r}")
         return cls(
             graph6=data["graph6"],
             n=data["n"],
@@ -429,7 +431,7 @@ def invariant_report(g: Graph, ctx: AutContext | None = None) -> InvariantReport
     ctx = ctx or AutContext(g)
     d, _ = distinguishing_number(g, ctx=ctx)
     det, det_witness = determining_number(g, ctx=ctx)
-    rho, rho_witness = cost(g, d=d, ctx=ctx, det_hint=det)
+    rho, labels = cost(g, d=d, ctx=ctx, det_hint=det)
     return InvariantReport(
         graph6=emit_graph6(g),
         n=g.n,
@@ -437,9 +439,9 @@ def invariant_report(g: Graph, ctx: AutContext | None = None) -> InvariantReport
         distinguishing_number=d,
         cost=rho,
         determining_number=det,
-        witness_labeling=rho_witness.labels,
+        witness_labeling=labels,
         witness_det_set=det_witness,
-        class_sizes=tuple(sorted(rho_witness.class_sizes())),
+        class_sizes=tuple(sorted(Counter(labels).values())),
     )
 
 
@@ -455,17 +457,15 @@ def check_witnesses(g: Graph, report: InvariantReport,
         problems.append(
             f"group order mismatch: computed {ctx.full.order}, report says {report.aut_order}"
         )
-    try:
-        coloring = Coloring(report.witness_labeling)
-    except Exception as exc:
-        problems.append(f"witness labeling invalid: {exc}")
-        coloring = None
-    if coloring is not None:
-        if coloring.num_labels != report.distinguishing_number:
+    counts = Counter(report.witness_labeling)
+    if not counts or set(counts) != set(range(1, len(counts) + 1)):
+        problems.append(f"witness labeling invalid: labels must be 1..d, got {sorted(counts)}")
+    else:
+        if len(counts) != report.distinguishing_number:
             problems.append("witness labeling does not use D labels")
-        if not ctx.is_rigid(list(coloring.labels)):
+        if not ctx.is_rigid(report.witness_labeling):
             problems.append("witness labeling is preserved by a nontrivial automorphism")
-        sizes = tuple(sorted(coloring.class_sizes()))
+        sizes = tuple(sorted(counts.values()))
         if sizes != report.class_sizes:
             problems.append("class_sizes does not match the witness labeling")
         if min(sizes) != report.cost:

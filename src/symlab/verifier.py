@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import itertools
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -191,7 +192,7 @@ Verdict = tuple[bool, str, dict | None]
 
 _OK: Verdict = (True, "ok", None)
 _UNMET: Verdict = (False, "ok", None)
-# a search outside the bound pass ran out of budget, so no hypothesis is known to hold
+# a search ran out of budget, so no hypothesis is known to hold
 _BUDGET: Verdict = (False, "budget", None)
 
 
@@ -199,6 +200,16 @@ def _fail(g6: str, reason: str, **extra) -> Verdict:
     payload = {"graph6": g6, "reason": reason}
     payload.update(extra)
     return (True, "fail", payload)
+
+
+def _judged(run: Callable[..., Verdict], *args) -> Verdict:
+    """The verdict of one corona pair or friendship order; an item that runs
+    out of budget keeps the verdicts of the others, a counterexample among
+    them included."""
+    try:
+        return run(*args)
+    except BudgetExceededError:
+        return _BUDGET
 
 
 def _aggregate(theorem_id: str, corpus_desc: str, verdicts: list[Verdict],
@@ -269,12 +280,9 @@ def _check_prop23(c: _Case) -> Verdict:
 def _outside_largest_class(labeling: Sequence[int]) -> tuple[list[int], list[int]]:
     """The sorted vertices outside one largest class of a labeling (the
     largest label among the largest classes), and the sorted class sizes."""
-    classes: dict[int, list[int]] = {}
-    for v, lab in enumerate(labeling):
-        classes.setdefault(lab, []).append(v)
-    drop = max(classes, key=lambda lab: (len(classes[lab]), lab))
-    union = sorted(v for lab, cls in classes.items() if lab != drop for v in cls)
-    return union, sorted(len(cls) for cls in classes.values())
+    sizes = Counter(labeling)
+    drop = max(sizes, key=lambda lab: (sizes[lab], lab))
+    return [v for v, lab in enumerate(labeling) if lab != drop], sorted(sizes.values())
 
 
 def _check_prop24(c: _Case) -> Verdict:
@@ -368,7 +376,7 @@ def _check_cor26(c: _Case) -> Verdict:
         if rep.cost > bound:
             return _fail(rep.graph6, "cost exceeds induced-subgraph bound",
                          det_set=list(A), bound=bound, rho=rep.cost)
-        back = {old: wit.labels[new] for old, new in index.items()}
+        back = {old: wit[new] for old, new in index.items()}
         if not ctx.is_rigid(labeling_colors(rep.n, back, d)):
             return _fail(rep.graph6, "constructive labeling not distinguishing",
                          det_set=list(A))
@@ -397,8 +405,7 @@ def _graph_verdicts(index: int, g: Graph, ids: tuple[str, ...], budget_cap: int,
         case = _Case(index, g, ctx, rep, mindets, truncated, budget_cap, memo)
         return [_REGISTRY[check].run(case) for check in ids]
     except BudgetExceededError:
-        payload = {"graph6": emit_graph6(g)}
-        return [(True, "budget", payload) for _ in ids]
+        return [_BUDGET] * len(ids)
 
 
 # the Cor2.6 memo of one pool worker, set by the pool's initializer; each
@@ -458,13 +465,11 @@ FriendshipResult = tuple[list[Verdict], str | None]
 
 def _search_matches_formula(a: int, b: int, search: Callable[[int], int],
                             formula: Callable[[int], int], reason: str) -> FriendshipResult:
-    verdicts: list[Verdict] = []
-    for n in range(a, b + 1):
-        want = formula(n)
-        got = search(n)
-        verdicts.append(_OK if got == want else
-                        _fail(emit_graph6(friendship(n)), reason, n=n, computed=got, formula=want))
-    return verdicts, None
+    def one(n: int) -> Verdict:
+        want, got = formula(n), search(n)
+        return _OK if got == want else _fail(emit_graph6(friendship(n)), reason,
+                                             n=n, computed=got, formula=want)
+    return [_judged(one, n) for n in range(a, b + 1)], None
 
 
 def _thm31(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
@@ -500,20 +505,18 @@ def _rem32(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
 
 
 def _thm34(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
-    verdicts: list[Verdict] = []
-    for n in range(a, b + 1):
+    def one(n: int) -> Verdict:
         det, _ = vals.det(n)
         one_per_triangle = tuple(range(1, 2 * n, 2))
         if det != n:
-            verdicts.append(_fail(emit_graph6(friendship(n)),
-                                  "determining number differs from n", n=n, computed=det))
-        elif not vals.ctx(n).pointwise_trivial(one_per_triangle):
-            verdicts.append(_fail(emit_graph6(friendship(n)),
-                                  "one-outer-vertex-per-triangle set does not determine",
-                                  witness=list(one_per_triangle)))
-        else:
-            verdicts.append(_OK)
-    return verdicts, None
+            return _fail(emit_graph6(friendship(n)),
+                         "determining number differs from n", n=n, computed=det)
+        if not vals.ctx(n).pointwise_trivial(one_per_triangle):
+            return _fail(emit_graph6(friendship(n)),
+                         "one-outer-vertex-per-triangle set does not determine",
+                         witness=list(one_per_triangle))
+        return _OK
+    return [_judged(one, n) for n in range(a, b + 1)], None
 
 
 def _thm28(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
@@ -589,15 +592,6 @@ def _thm43(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
                      pair=f"({gs.to_string()}),({hs.to_string()})",
                      computed=rho_prod, bound=bound)
     return _OK
-
-
-def _corona_verdict(run: Callable, pair: tuple, budget_cap: int) -> Verdict:
-    """One pair's verdict; a pair that runs out of budget keeps the verdicts
-    of the other pairs, a counterexample among them included."""
-    try:
-        return run(*pair, budget_cap)
-    except BudgetExceededError:
-        return _BUDGET
 
 
 def _corona_degree(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
@@ -736,7 +730,7 @@ def run_suite(ids: Sequence[str] | None = None, corpus_override: str | None = No
             elif entry.kind == "corona":
                 pairs = _corona_pairs(_corpus_rest(spec, "corona-pairs"))
                 checked, notes = len(pairs), None
-                verdicts = [_corona_verdict(entry.run, pair, budget_cap) for pair in pairs]
+                verdicts = [_judged(entry.run, *pair, budget_cap) for pair in pairs]
             else:
                 checked = len(_HYPERCUBE_DIMS)
                 verdicts, notes = entry.run(budget_cap)

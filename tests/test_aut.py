@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from symlab import (AutContext, Budget, BudgetExceededError, Coloring, automorphisms,
+from symlab import (AutContext, Budget, BudgetExceededError, automorphisms,
                     brute_force_automorphisms, complete, cycle, enumerate_elements,
                     friendship, from_edge_list, hypercube, is_determining_set, path,
                     refine)
@@ -18,13 +19,15 @@ from symlab.aut import ColoringError, identity_perm
 # ---------------------------------------------------------------------------
 
 def test_coloring_validation():
-    c = Coloring((1, 2, 1))
-    assert c.num_labels == 2 and c.classes() == [[0, 2], [1]]
-    assert Coloring.uniform(4).labels == (1, 1, 1, 1)
-    with pytest.raises(ColoringError):
-        Coloring((1, 3))  # label 2 missing
-    with pytest.raises(ColoringError):
-        Coloring(())
+    # any int vector is a coloring: only which vertices share a value matters
+    assert automorphisms(path(3), (5, 9, 5)).order == automorphisms(path(3), (1, 2, 1)).order == 2
+    assert automorphisms(path(3), (7, 7, -1)).is_trivial
+    assert refine(path(3), (5, 9, 5)) == refine(path(3), (1, 2, 1))
+    # but it needs exactly one color per vertex
+    for bad in ((1, 2), (1, 2, 1, 1), ()):
+        for query in (automorphisms, refine, brute_force_automorphisms):
+            with pytest.raises(ColoringError):
+                query(path(3), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -32,46 +35,41 @@ def test_coloring_validation():
 # ---------------------------------------------------------------------------
 
 def test_refine_separates_by_degree():
-    out = refine(friendship(2), Coloring.uniform(5))
-    assert sorted(out.class_sizes()) == [1, 4]
-    assert out.labels[0] != out.labels[1]  # hub alone in its class
+    out = refine(friendship(2), (0,) * 5)
+    assert sorted(Counter(out).values()) == [1, 4]
+    assert out[0] != out[1]  # hub alone in its class
 
-    out = refine(path(4), Coloring.uniform(4))
-    assert sorted(out.class_sizes()) == [2, 2]
-    assert out.labels[0] == out.labels[3] and out.labels[1] == out.labels[2]
+    out = refine(path(4), (0,) * 4)
+    assert sorted(Counter(out).values()) == [2, 2]
+    assert out[0] == out[3] and out[1] == out[2]
 
 
 def test_refine_fixes_vertex_transitive():
-    out = refine(cycle(5), Coloring.uniform(5))
-    assert out.class_sizes() == [5]
+    assert refine(cycle(5), (0,) * 5) == (0,) * 5
 
 
 def test_refine_is_idempotent_and_refines_input():
     cases = [
-        (friendship(3), Coloring.uniform(7)),
-        (path(5), Coloring((1, 1, 2, 1, 1))),
-        (hypercube(3), Coloring.uniform(8)),
+        (friendship(3), (1,) * 7),
+        (path(5), (1, 1, 2, 1, 1)),
+        (hypercube(3), (1,) * 8),
         (from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]),
-         Coloring.uniform(6)),
+         (1,) * 6),
     ]
     for g, c in cases:
         once = refine(g, c)
         assert refine(g, once) == once
         # every output class sits inside one input class
-        for cls in once.classes():
-            assert len({c.labels[v] for v in cls}) == 1
+        assert all(c[u] == c[v] for u in range(g.n) for v in range(g.n) if once[u] == once[v])
 
 
 def test_refine_is_automorphism_invariant(rng):
     for _ in range(30):
         g = _oracles.random_graph(rng, rng.randint(2, 6))
         labels = tuple(rng.randint(1, 2) for _ in range(g.n))
-        if len(set(labels)) < max(labels):
-            continue
-        c = Coloring(labels)
-        out = refine(g, c)
+        out = refine(g, labels)
         for sigma in _oracles.brute_aut(g, labels):
-            assert all(out.labels[sigma[v]] == out.labels[v] for v in range(g.n))
+            assert all(out[sigma[v]] == out[v] for v in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +87,14 @@ def test_known_group_orders():
 
 def test_colored_orders_on_path():
     p3 = path(3)
-    assert automorphisms(p3, Coloring((1, 2, 1))).order == 2
-    assert automorphisms(p3, Coloring((1, 1, 2))).order == 1
+    assert automorphisms(p3, (1, 2, 1)).order == 2
+    assert automorphisms(p3, (1, 1, 2)).order == 1
 
 
 def test_is_color_rigid_examples():
-    assert automorphisms(path(3), Coloring((1, 1, 2))).is_trivial
-    assert automorphisms(complete(3), Coloring((1, 2, 3))).is_trivial
-    assert not automorphisms(cycle(4), Coloring.uniform(4)).is_trivial
+    assert automorphisms(path(3), (1, 1, 2)).is_trivial
+    assert automorphisms(complete(3), (1, 2, 3)).is_trivial
+    assert not automorphisms(cycle(4), (1,) * 4).is_trivial
 
 
 def test_pointwise_stabilizer_examples():
@@ -133,11 +131,10 @@ def test_permgroup_invariants_on_samples(rng):
             assert all(g.has_edge(sig[u], sig[v]) for u, v in g.edges())
         # colored group order divides the uncolored order
         labels = tuple(rng.randint(1, 2) for _ in range(g.n))
-        if len(set(labels)) == max(labels):
-            sub = automorphisms(g, Coloring(labels))
-            assert grp.order % sub.order == 0
-            for sig in sub.generators:
-                assert all(labels[sig[v]] == labels[v] for v in range(g.n))
+        sub = automorphisms(g, labels)
+        assert grp.order % sub.order == 0
+        for sig in sub.generators:
+            assert all(labels[sig[v]] == labels[v] for v in range(g.n))
 
 
 def test_engine_matches_brute_force(rng):
@@ -165,10 +162,8 @@ def test_engine_matches_brute_force_exhaustively_order4():
 @settings(max_examples=40, deadline=None)
 def test_engine_matches_brute_force_colored(n, pyrng):
     g = _oracles.random_graph(pyrng, n)
-    raw = [pyrng.randint(1, 2) for _ in range(n)]
-    lut = {}
-    labels = tuple(lut.setdefault(x, len(lut) + 1) for x in raw)
-    grp = automorphisms(g, Coloring(labels))
+    labels = tuple(pyrng.randint(1, 2) for _ in range(n))
+    grp = automorphisms(g, labels)
     want = set(_oracles.brute_aut(g, labels))
     assert set(enumerate_elements(grp)) == want
     assert len(list(enumerate_elements(grp))) == grp.order

@@ -111,7 +111,8 @@ def test_check_witness_rejects_malformed_witnesses(capsys, tmp_path):
     good = json.loads(report.read_text())
     for key, value in [("witness_det_set", [99]), ("witness_det_set", [-1]),
                        ("witness_det_set", ["0"]), ("witness_det_set", [True]),
-                       ("witness_labeling", [1, 2, 1]), ("n", "4"), ("graph6", 5),
+                       ("witness_labeling", [1, 2, 1]), ("witness_labeling", [2, 1, 1, 2.0]),
+                       ("witness_labeling", [True, 2, 2, 1]), ("n", "4"), ("graph6", 5),
                        ("class_sizes", 5), ("aut_order", "2")]:
         report.write_text(json.dumps({**good, key: value}))
         code, _, err = run(capsys, "compute", "--check-witness", str(report))
@@ -176,8 +177,15 @@ def test_verify_budget_exceeded_outside_bound_pass(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "Thm3.1,Prop2.2",
                        "--corpus", "friendship:2..4", "--budget", "5", "--json")
     assert code == 3
-    assert [(r["theorem_id"], r["status"]) for r in json.loads(out)] == [
-        ("Thm3.1", "budget-exceeded"), ("Prop2.2", "budget-exceeded")]
+    assert [(r["theorem_id"], r["status"], r["hypothesis_met"]) for r in json.loads(out)] == [
+        ("Thm3.1", "budget-exceeded", 0), ("Prop2.2", "budget-exceeded", 0)]
+    # each friendship order is judged on its own: an overrun at a large n
+    # keeps the verdicts of the orders that fit
+    code, out, _ = run(capsys, "verify", "--suite", "Thm3.1", "--corpus", "friendship:2..8",
+                       "--budget", "300", "--json")
+    assert code == 3
+    [report] = json.loads(out)
+    assert report["status"] == "budget-exceeded" and report["hypothesis_met"] == 4
     # a corona pair that runs out of budget does not hide another pair's
     # counterexample
     code, out, _ = run(capsys, "verify", "--suite", "Thm4.1", "--corpus",

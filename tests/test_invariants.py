@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import _oracles
-from symlab import (AutContext, Budget, Coloring, InvariantReport, automorphisms,
+from symlab import (AutContext, Budget, InvariantReport, automorphisms,
                     check_witnesses, complete, corona, cost, cycle, determining_number,
                     distinguishing_number, friendship, invariant_report, is_determining_set,
                     minimum_determining_sets, path, star, subset_distinguishing_witness,
@@ -29,7 +29,7 @@ def test_distinguishing_known_values():
 def test_distinguishing_witness_is_rigid():
     for g in [path(4), friendship(3), cycle(4), complete(4), star(4)]:
         d, witness = distinguishing_number(g)
-        assert witness.num_labels == d
+        assert set(witness) == set(range(1, d + 1))
         assert automorphisms(g, witness).is_trivial
 
 
@@ -51,8 +51,8 @@ def test_cost_witness_properties():
         ctx = AutContext(g)
         d, _ = distinguishing_number(g, ctx=ctx)
         rho, witness = cost(g, d=d, ctx=ctx)
-        assert witness.num_labels == d
-        assert min(witness.class_sizes()) == rho
+        assert set(witness) == set(range(1, d + 1))
+        assert min(map(witness.count, witness)) == rho
         assert automorphisms(g, witness).is_trivial
 
 
@@ -129,12 +129,10 @@ def test_subset_examples():
 def test_subset_full_set_matches_rigidity(rng):
     for _ in range(20):
         g = _oracles.random_graph(rng, rng.randint(2, 5))
-        raw = [rng.randint(1, 2) for _ in range(g.n)]
-        lut = {}
-        labels = tuple(lut.setdefault(x, len(lut) + 1) for x in raw)
+        labels = [rng.randint(1, 2) for _ in range(g.n)]
         labeling = {v: labels[v] for v in range(g.n)}
         assert (subset_is_d_distinguishable(g, range(g.n), labeling)
-                == automorphisms(g, Coloring(labels)).is_trivial)
+                == automorphisms(g, labels).is_trivial)
 
 
 def test_subset_distinguishing_matches_brute(rng):
@@ -211,6 +209,9 @@ def test_check_witnesses_catches_tampering():
     bad = InvariantReport.from_dict({**rep.to_dict(), "witness_labeling": [1] * 5,
                                      "class_sizes": [5]})
     assert check_witnesses(g, bad)
+    # an outside report's labels must still be 1..d
+    bad = InvariantReport.from_dict({**rep.to_dict(), "witness_labeling": [1, 3, 1, 3, 1]})
+    assert any(p.startswith("witness labeling invalid") for p in check_witnesses(g, bad))
     with pytest.raises(ValueError, match="missing"):
         InvariantReport.from_dict({"graph6": "Cx"})
 
