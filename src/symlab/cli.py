@@ -60,7 +60,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
             return parse_graph6(text)
         with open(args.edgelist, "r", encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
-    except (GraphError, Graph6Error, EdgeListError, FamilySpecError, OSError) as exc:
+    except (GraphError, Graph6Error, EdgeListError, FamilySpecError, OSError,
+            UnicodeDecodeError) as exc:
         raise _CliError(str(exc)) from exc
 
 
@@ -172,7 +173,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         else:
             with open(args.path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(str(exc)) from exc
     try:
         if args.src == "edgelist":

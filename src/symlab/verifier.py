@@ -8,7 +8,9 @@ which is deliberately not a pass), or ``budget-exceeded``.
 A check is one registry entry that carries its callable.  The corpus kind
 picks the loop that calls it: bound checks get one verdict per graph of a
 shared corpus pass, friendship checks get the parsed range of n, and corona
-checks get one verdict per (G, H) pair.
+checks get one verdict per (G, H) pair.  The bound pass judges each
+isomorphism class once per run and hands its verdicts to the later labeled
+graphs of that class.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import families
-from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET,
-                  brute_force_automorphisms, enumerate_elements, labeling_colors)
+from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET, PermGroup,
+                  automorphisms, brute_force_automorphisms, canonical_form,
+                  enumerate_elements, labeling_colors)
 from .graphs import (FamilySpec, FamilySpecError, Graph, Graph6Error, corona,
                      emit_graph6, friendship, from_edge_list, hypercube,
                      induced_subgraph, parse_family_spec, parse_graph6,
@@ -168,7 +171,7 @@ def corpus(spec: str) -> Iterator[Graph]:
         try:
             with open(rest, "r", encoding="ascii") as fh:
                 lines = fh.read().splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CorpusError(f"cannot read corpus file {rest!r}: {exc}") from exc
         for lineno, line in enumerate(lines, 1):
             line = line.strip()
@@ -203,9 +206,10 @@ def _fail(g6: str, reason: str, **extra) -> Verdict:
 
 
 def _judged(run: Callable[..., Verdict], *args) -> Verdict:
-    """The verdict of one corona pair or friendship order; an item that runs
-    out of budget keeps the verdicts of the others, a counterexample among
-    them included."""
+    """The verdict of one item: a corona pair, a friendship order, or the
+    EngineOracle check of a graph whose other verdicts are reused.  An item
+    that runs out of budget keeps the verdicts of the others, a
+    counterexample among them included."""
     try:
         return run(*args)
     except BudgetExceededError:
@@ -245,6 +249,12 @@ _ORACLE_SAMPLE_STRIDE = 100
 # budget overrun leaves nothing behind, and a later cost query charges the
 # same context budget that one uncached call would.
 _SubMemo = dict[tuple[int, ...], list]
+
+# Per-run verdict cache, keyed by canonical form: the verdicts, one per check
+# id of the run, of the first graph of an isomorphism class.  Each verdict is
+# an isomorphism invariant (notes/decisions.md); a row is stored only when it
+# was computed in full, with no budget overrun and no truncated search.
+_Rows = dict[tuple[int, ...], list[Verdict]]
 
 
 class _Case(NamedTuple):
@@ -383,44 +393,64 @@ def _check_cor26(c: _Case) -> Verdict:
     return (met, "ok", None)
 
 
-def _check_engine_oracle(c: _Case) -> Verdict:
-    g, ctx = c.graph, c.ctx
-    if c.index % _ORACLE_SAMPLE_STRIDE != 0 or g.n > 8:
+def _engine_oracle(index: int, g: Graph, group: Callable[[], PermGroup]) -> Verdict:
+    """EngineOracle on the corpus graph at ``index``; ``group`` gives the
+    engine's group of ``g`` and is called on the sampled indices only."""
+    if index % _ORACLE_SAMPLE_STRIDE != 0 or g.n > 8:
         return _UNMET
     expected = set(brute_force_automorphisms(g))
-    got = set(enumerate_elements(ctx.full))
-    if expected != got:
-        return _fail(c.rep.graph6, "engine group differs from permutation filter",
-                     engine_order=ctx.full.order, brute_order=len(expected))
+    full = group()
+    if expected != set(enumerate_elements(full)):
+        return _fail(emit_graph6(g), "engine group differs from permutation filter",
+                     engine_order=full.order, brute_order=len(expected))
     return _OK
 
 
+def _check_engine_oracle(c: _Case) -> Verdict:
+    return _engine_oracle(c.index, c.graph, lambda: c.ctx.full)
+
+
 def _graph_verdicts(index: int, g: Graph, ids: tuple[str, ...], budget_cap: int,
-                    memo: _SubMemo) -> list[Verdict]:
+                    memo: _SubMemo, rows: _Rows) -> list[Verdict]:
+    """One verdict per check id for the corpus graph at ``index``.  A graph
+    whose isomorphism class already has a row in ``rows`` reuses it, except
+    for EngineOracle, which is judged per labeled graph."""
+    try:
+        key = canonical_form(g, Budget(budget_cap))
+    except BudgetExceededError:
+        key = None
+    row = rows.get(key)
+    if row is not None:
+        group = functools.partial(automorphisms, g, budget=Budget(budget_cap))
+        return [_judged(_engine_oracle, index, g, group) if check == "EngineOracle" else v
+                for check, v in zip(ids, row)]
     try:
         ctx = AutContext(g, Budget(budget_cap))
         rep = invariant_report(g, ctx=ctx)
         mindets, truncated = (minimum_determining_sets(g, ctx=ctx)
                               if "Thm1.1" in ids or "Cor2.6" in ids else ([], False))
         case = _Case(index, g, ctx, rep, mindets, truncated, budget_cap, memo)
-        return [_REGISTRY[check].run(case) for check in ids]
+        row = [_REGISTRY[check].run(case) for check in ids]
     except BudgetExceededError:
         return [_BUDGET] * len(ids)
+    if key is not None and not truncated:
+        rows[key] = row
+    return row
 
 
-# the Cor2.6 memo of one pool worker, set by the pool's initializer; each
-# pool starts fresh workers, so it lives for one run
-_worker_memo: _SubMemo | None = None
+# the per-run caches of one pool worker, set by the pool's initializer; each
+# pool starts fresh workers, so they live for one run
+_worker_caches: tuple[_SubMemo, _Rows] | None = None
 
 
 def _init_worker() -> None:
-    global _worker_memo
-    _worker_memo = {}
+    global _worker_caches
+    _worker_caches = ({}, {})
 
 
 def _bound_worker(args: tuple[int, str, tuple[str, ...], int]) -> list[Verdict]:
     index, g6, ids, budget_cap = args
-    return _graph_verdicts(index, parse_graph6(g6), ids, budget_cap, _worker_memo)
+    return _graph_verdicts(index, parse_graph6(g6), ids, budget_cap, *_worker_caches)
 
 
 def _run_bound_checks(ids: Sequence[str], corpus_spec: str, budget_cap: int,
@@ -438,9 +468,10 @@ def _run_bound_checks(ids: Sequence[str], corpus_spec: str, budget_cap: int,
                     verdicts.append(v)
     else:
         memo: _SubMemo = {}
+        rows: _Rows = {}
         for i, g in enumerate(corpus(corpus_spec)):
             checked += 1
-            for verdicts, v in zip(per_check, _graph_verdicts(i, g, ids, budget_cap, memo)):
+            for verdicts, v in zip(per_check, _graph_verdicts(i, g, ids, budget_cap, memo, rows)):
                 verdicts.append(v)
     return [_aggregate(check, corpus_spec, verdicts, checked)
             for check, verdicts in zip(ids, per_check)]

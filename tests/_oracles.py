@@ -30,6 +30,19 @@ def brute_aut(g: Graph, colors=None) -> list[tuple[int, ...]]:
     return out
 
 
+def relabeled(g: Graph, sigma) -> Graph:
+    """The graph with an edge sigma[u]sigma[v] for each edge uv of g."""
+    return from_edge_list(g.n, [(sigma[u], sigma[v]) for u in range(g.n) for v in g.adj[u] if u < v])
+
+
+def brute_canonical(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The order of g and its least sorted edge list over all n! relabelings:
+    equal exactly for isomorphic graphs."""
+    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    return g.n, min(tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+                    for p in itertools.permutations(range(g.n)))
+
+
 def stabilizes_labeling(sigma, labels) -> bool:
     return all(labels[sigma[v]] == labels[v] for v in range(len(labels)))
 

@@ -1,5 +1,8 @@
+import json
 import math
+import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from symlab import (AutContext, Budget, BudgetExceededError, automorphisms,
                     friendship, from_edge_list, hypercube, is_determining_set, path,
                     refine)
 from symlab import aut
-from symlab.aut import ColoringError, identity_perm
+from symlab.aut import ColoringError, canonical_form, identity_perm
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +187,58 @@ def test_budget_is_enforced():
 def test_brute_force_guard():
     with pytest.raises(ValueError):
         brute_force_automorphisms(path(9))
+
+
+# ---------------------------------------------------------------------------
+# canonical form
+# ---------------------------------------------------------------------------
+
+def _assert_oracle_classes(graphs) -> int:
+    """Assert that canonical forms split ``graphs`` into the brute-force
+    oracle's classes; return the number of classes."""
+    pairs = {(canonical_form(g), _oracles.brute_canonical(g)) for g in graphs}
+    assert len({key for key, _ in pairs}) == len({want for _, want in pairs}) == len(pairs)
+    return len(pairs)
+
+
+def test_canonical_form_matches_brute_force_order_le5():
+    graphs = [g for n in range(1, 6) for g in _oracles.connected_graphs(n)]
+    assert len(graphs) == 772
+    assert _assert_oracle_classes(graphs) == 1 + 1 + 2 + 6 + 21
+
+
+def test_canonical_form_matches_brute_force_orders_6_7(rng):
+    graphs = []
+    for n in (6, 7):
+        for _ in range(10):
+            g = _oracles.random_graph(rng, n)
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            graphs += [g, _oracles.relabeled(g, sigma)]
+    assert _assert_oracle_classes(graphs) <= 20
+
+
+def test_canonical_form_is_relabeling_invariant_on_panel():
+    from symlab import build_family
+    golden_file = Path(__file__).resolve().parent.parent / "perfbench/golden/symmetric-panel.json"
+    specs = list(json.loads(golden_file.read_text()))
+    assert len(specs) == 11
+    for spec in specs:
+        g = build_family(spec)
+        key = canonical_form(g)
+        assert len(key) == g.n
+        for seed in (1, 2, 3):
+            sigma = list(range(g.n))
+            random.Random(f"{seed}:{spec}").shuffle(sigma)
+            assert canonical_form(_oracles.relabeled(g, sigma)) == key, (spec, seed)
+
+
+def test_canonical_form_spends_the_budget():
+    with pytest.raises(BudgetExceededError):
+        canonical_form(complete(6), Budget(3))
+    budget = Budget()
+    canonical_form(cycle(6), budget)
+    assert budget.used > 1
 
 
 # ---------------------------------------------------------------------------

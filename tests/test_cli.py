@@ -210,6 +210,27 @@ def test_verify_malformed_corpus_file_is_usage_error(capsys, tmp_path):
         assert "bad.g6" in err and "line 2" in err
 
 
+def test_verify_non_ascii_corpus_file_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "latin.g6"
+    bad.write_bytes(b"Bg\n\xff\n")
+    for jobs in ("1", "2"):
+        code, _, err = run(capsys, "verify", "--suite", "Prop2.2",
+                           "--corpus", f"file:{bad}", "--jobs", jobs)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "latin.g6" in err
+
+
+def test_non_utf8_input_file_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(b"0 1\n\xe9\n")
+    for argv in (("compute", "--edgelist", str(bad)),
+                 ("convert", "--from", "edgelist", "--to", "g6", str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_rejects_jobs_below_one(capsys):
     for jobs in ("0", "-1"):
         code, out, err = run(capsys, "verify", "--suite", "Prop2.2",

@@ -1,8 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import _oracles
 from symlab import corpus, exit_code_for, registered_checks, run_check, run_suite
 from symlab.verifier import CorpusError, TheoremReport, UnknownCheckError
 
@@ -170,9 +172,11 @@ def test_jobs_do_not_change_reports():
 
 
 def test_bound_pass_builds_one_context_per_distinct_subgraph(monkeypatch):
-    # 772 graphs need one context each; Cor2.6's induced subgraphs repeat, so
-    # a run builds each distinct labeled one once.  An identical second run
-    # builds as many again: the memo does not outlive a run.
+    # The 772 graphs fall into 31 isomorphism classes; a class judged once
+    # reuses its verdicts, so a run builds one context per class, one per
+    # distinct labeled Cor2.6 subgraph, and at most one per sampled
+    # EngineOracle index (8 of them).  An identical second run builds as many
+    # again: neither cache outlives a run.
     import symlab.verifier as verifier
 
     built = []
@@ -188,8 +192,51 @@ def test_bound_pass_builds_one_context_per_distinct_subgraph(monkeypatch):
         built.clear()
         run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5")
         counts.append(len(built))
-    assert 772 < counts[0] <= 800
+    assert 31 <= counts[0] <= 60
     assert counts[1] == counts[0]
+
+
+def test_cached_verdicts_equal_uncached(tmp_path):
+    # Each bound verdict is an isomorphism invariant, so a corpus that repeats
+    # isomorphism classes, and so reuses cached verdicts, reports what its
+    # graphs report one by one: a one-graph corpus never hits the cache.  The
+    # double star takes Thm1.1's widened path; EngineOracle is judged per
+    # index, including index 100, a cache hit.
+    import symlab as sl
+    classes = [sl.parse_graph6("Eia?"), sl.path(4), sl.cycle(5), sl.star(4),
+               sl.complete(4), sl.friendship(2), sl.complete_bipartite(2, 3),
+               sl.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])]
+    rng = random.Random(9)
+    graphs = []
+    for _ in range(13):
+        for g in classes:
+            sigma = list(range(g.n))
+            rng.shuffle(sigma)
+            graphs.append(_oracles.relabeled(g, sigma))
+    assert len(graphs) == 104
+    whole_file = tmp_path / "whole.g6"
+    whole_file.write_text("".join(sl.emit_graph6(g) + "\n" for g in graphs))
+    whole = run_suite(_BOUND_CHECKS, corpus_override=f"file:{whole_file}")
+    singles = []
+    for i, g in enumerate(graphs):
+        one = tmp_path / f"one{i}.g6"
+        one.write_text(sl.emit_graph6(g) + "\n")
+        singles.append(run_suite(_BOUND_CHECKS, corpus_override=f"file:{one}"))
+
+    def widened(notes):
+        return int(notes.split()[1]) if notes else 0
+
+    for i, rep in enumerate(whole):
+        parts = [reports[i] for reports in singles]
+        assert rep.graphs_checked == sum(r.graphs_checked for r in parts) == 104
+        assert {r.status for r in parts} <= {"verified", "hypothesis-never-met"}
+        if rep.theorem_id == "EngineOracle":
+            assert (rep.status, rep.hypothesis_met) == ("verified", 2)  # indices 0 and 100
+            continue
+        assert rep.hypothesis_met == sum(r.hypothesis_met for r in parts)
+        assert rep.status == ("verified" if rep.hypothesis_met else "hypothesis-never-met")
+        assert widened(rep.notes) == sum(widened(r.notes) for r in parts)
+    assert widened(whole[0].notes) == 13  # every copy of the double star
 
 
 def test_thm11_widening_is_used(tmp_path):
