@@ -170,31 +170,76 @@ class _Engine:
 
     # -- partition primitives ------------------------------------------------
 
-    def refine(self, colors: Sequence[int]) -> list[int]:
+    def refine(self, colors: Sequence[int], at: int | None = None) -> list[int]:
         """Coarsest equitable refinement; class ids renumbered 0..k-1 in an
-        isomorphism-invariant order (old class first, then neighbor signature)."""
+        isomorphism-invariant order (old class first, then neighbor signature).
+
+        With ``at``, ``colors`` is an output of this method and ``at`` a vertex
+        of a non-singleton class; the result is the refinement of ``colors``
+        with ``at`` given a new color above all others.
+
+        Each round cuts a class by its vertices' sorted neighbor classes, but
+        looks only at neighbors in the parts of the classes the previous round
+        split: elsewhere the vertices of a class have equal neighbor counts,
+        so the restricted keys order them as the full ones do
+        (``notes/decisions.md``)."""
         self.budget.spend()
         adj = self.adj
-        n = self.n
-        colors = list(colors)
-        ncells = len(set(colors))
+        if at is None:
+            lut = {c: i for i, c in enumerate(sorted(set(colors)))}
+            colors = [lut[c] for c in colors]
+        else:
+            colors = list(colors)
+        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        split = cells
+        if at is not None:
+            rest = cells[colors[at]]
+            rest.remove(at)
+            colors[at] = len(cells)
+            cells.append([at])
+            split = [rest, cells[-1]]
         while True:
-            sigs = [
-                (colors[v], *sorted(colors[u] for u in adj[v]))
-                for v in range(n)
-            ]
-            palette = sorted(set(sigs))
-            lut = {s: i for i, s in enumerate(palette)}
-            colors = [lut[s] for s in sigs]
-            if len(palette) == ncells:
+            # split parts in id order, so each key list comes out sorted
+            keys: dict[int, list[int]] = {}
+            for cell in split:
+                for u in cell:
+                    c = colors[u]
+                    for w in adj[u]:
+                        if w in keys:
+                            keys[w].append(c)
+                        else:
+                            keys[w] = [c]
+            parts: dict[int, list[list[int]]] = {}
+            for j in {colors[w] for w in keys}:
+                cell = cells[j]
+                if len(cell) < 2:
+                    continue
+                groups: dict[tuple[int, ...], list[int]] = {}
+                for v in cell:
+                    key = tuple(keys.get(v, ()))
+                    if key in groups:
+                        groups[key].append(v)
+                    else:
+                        groups[key] = [v]
+                if len(groups) > 1:
+                    parts[j] = [groups[key] for key in sorted(groups)]
+            if not parts:
                 return colors
-            ncells = len(palette)
-
-    @staticmethod
-    def individualize(colors: Sequence[int], v: int) -> list[int]:
-        out = list(colors)
-        out[v] = max(colors) + 1
-        return out
+            first = min(parts)
+            out = cells[:first]
+            split = []
+            for j in range(first, len(cells)):
+                if j in parts:
+                    out += parts[j]
+                    split += parts[j]
+                else:
+                    out.append(cells[j])
+            for i in range(first, len(out)):
+                for v in out[i]:
+                    colors[v] = i
+            cells = out
 
     @staticmethod
     def shape(colors: Sequence[int]) -> tuple[int, ...]:
@@ -228,9 +273,9 @@ class _Engine:
             sigma = tuple(pos[c] for c in left)
             return sigma if _is_automorphism(self.bits, self.root, sigma) else None
         color = left[cell[0]]
-        sub_left = self.refine(self.individualize(left, cell[0]))
+        sub_left = self.refine(left, cell[0])
         for w in (v for v in range(self.n) if right[v] == color):
-            sub_right = self.refine(self.individualize(right, w))
+            sub_right = self.refine(right, w)
             found = self._find_iso(sub_left, sub_right)
             if found is not None:
                 return found
@@ -251,7 +296,7 @@ class _Engine:
         if cell is None:
             return [], []
         beta = cell[0]
-        sub = self.refine(self.individualize(colors, beta))
+        sub = self.refine(colors, beta)
         gens, levels = self._group_of(sub, first)
         if first and gens:
             return gens, levels
@@ -259,7 +304,7 @@ class _Engine:
         for v in cell[1:]:
             if v in trans:
                 continue
-            sigma = self._find_iso(sub, self.refine(self.individualize(colors, v)))
+            sigma = self._find_iso(sub, self.refine(colors, v))
             if sigma is not None:
                 gens.append(sigma)
                 if first:
@@ -321,7 +366,7 @@ class _Engine:
             if gens and not done.isdisjoint(_transversal(self.n, v, gens)):
                 continue
             here[0] = v
-            back = self._canon(self.refine(self.individualize(colors, v)), trail, leaves, auts)
+            back = self._canon(self.refine(colors, v), trail, leaves, auts)
             done.add(v)
             if back is not None and back < depth:
                 break

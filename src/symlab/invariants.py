@@ -470,6 +470,8 @@ def check_witnesses(g: Graph, report: InvariantReport,
             problems.append("class_sizes does not match the witness labeling")
         if min(sizes) != report.cost:
             problems.append("smallest witness class does not equal rho")
+    if len(set(report.witness_det_set)) != len(report.witness_det_set):
+        problems.append("witness determining set repeats a vertex")
     if len(report.witness_det_set) != report.determining_number:
         problems.append("witness determining set has the wrong size")
     if not ctx.pointwise_trivial(report.witness_det_set):

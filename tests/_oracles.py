@@ -43,6 +43,23 @@ def brute_canonical(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
                     for p in itertools.permutations(range(g.n)))
 
 
+def naive_refine(adj, colors) -> tuple[int, ...]:
+    """Coarsest equitable refinement of ``colors`` on the adjacency lists
+    ``adj``, one full round at a time: each round gives every vertex the rank
+    of (its class, its neighbors' classes sorted) and it stops at the first
+    round that makes no new class."""
+    colors = list(colors)
+    ncells = len(set(colors))
+    while True:
+        sigs = [(colors[v], *sorted(colors[u] for u in adj[v])) for v in range(len(adj))]
+        palette = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(palette)}
+        colors = [rank[s] for s in sigs]
+        if len(palette) == ncells:
+            return tuple(colors)
+        ncells = len(palette)
+
+
 def stabilizes_labeling(sigma, labels) -> bool:
     return all(labels[sigma[v]] == labels[v] for v in range(len(labels)))
 

@@ -75,6 +75,59 @@ def test_refine_is_automorphism_invariant(rng):
             assert all(out[sigma[v]] == out[v] for v in range(g.n))
 
 
+def _individualized(colors, v):
+    out = list(colors)
+    out[v] = max(colors) + 1
+    return out
+
+
+def _assert_refine_ids_match_oracle(g, colors):
+    """``refine`` gives the round-based oracle's class ids, not just its
+    partition, and so does the engine's ``refine(..., at=v)`` for every vertex
+    of every non-singleton class of the result, and down one path to a
+    discrete coloring."""
+    want = _oracles.naive_refine(g.adj_lists, colors)
+    assert refine(g, colors) == want, (g.adj, colors)
+    engine = aut._Engine(g, colors, Budget())
+    sizes = Counter(want)
+    for v in range(g.n):
+        if sizes[want[v]] > 1:
+            got = engine.refine(want, at=v)
+            assert tuple(got) == _oracles.naive_refine(g.adj_lists, _individualized(want, v)), \
+                (g.adj, want, v)
+    current = list(want)
+    while (cell := engine.target_cell(current)) is not None:
+        expected = _oracles.naive_refine(g.adj_lists, _individualized(current, cell[-1]))
+        current = engine.refine(current, at=cell[-1])
+        assert tuple(current) == expected, (g.adj, cell)
+
+
+def test_refine_ids_match_oracle_on_random_graphs(rng):
+    for n in range(1, 13):
+        for _ in range(12):
+            g = _oracles.random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+            # non-contiguous, unsorted and negative values are colorings too
+            values = rng.sample((5, 9, -3, 100, 0, 7), rng.randint(1, 3))
+            _assert_refine_ids_match_oracle(g, tuple(rng.choice(values) for _ in range(n)))
+            _assert_refine_ids_match_oracle(g, (0,) * n)
+    _assert_refine_ids_match_oracle(path(3), (5, 9, 5))
+
+
+def _panel_graphs():
+    """The 11 benchmark panel graphs as built, by spec."""
+    from symlab import build_family
+    golden_file = Path(__file__).resolve().parent.parent / "perfbench/golden/symmetric-panel.json"
+    specs = list(json.loads(golden_file.read_text()))
+    assert len(specs) == 11
+    return [(spec, build_family(spec)) for spec in specs]
+
+
+def test_refine_ids_match_oracle_on_panel():
+    for _, g in _panel_graphs():
+        _assert_refine_ids_match_oracle(g, (0,) * g.n)
+        _assert_refine_ids_match_oracle(g, tuple(v % 3 for v in range(g.n)))
+
+
 # ---------------------------------------------------------------------------
 # the group itself
 # ---------------------------------------------------------------------------
@@ -219,12 +272,7 @@ def test_canonical_form_matches_brute_force_orders_6_7(rng):
 
 
 def test_canonical_form_is_relabeling_invariant_on_panel():
-    from symlab import build_family
-    golden_file = Path(__file__).resolve().parent.parent / "perfbench/golden/symmetric-panel.json"
-    specs = list(json.loads(golden_file.read_text()))
-    assert len(specs) == 11
-    for spec in specs:
-        g = build_family(spec)
+    for spec, g in _panel_graphs():
         key = canonical_form(g)
         assert len(key) == g.n
         for seed in (1, 2, 3):
@@ -239,6 +287,26 @@ def test_canonical_form_spends_the_budget():
     budget = Budget()
     canonical_form(cycle(6), budget)
     assert budget.used > 1
+
+
+@pytest.mark.parametrize("spec, report_nodes, canonical_nodes", [
+    ("friendship:5", 819, 35),
+    ("hypercube:3", 13, 10),
+    ("cycle:12", 7, 6),
+    ("corona:(path:3),(complete:2)", 21, 15),
+    ("complete_bipartite:5,5", 1038, 53),
+    ("star:10", 1708, 55),
+])
+def test_search_effort_is_pinned(spec, report_nodes, canonical_nodes):
+    # Budget.used counts refine calls: a cheaper refine must not change the search
+    from symlab import build_family, invariant_report
+    g = build_family(spec)
+    budget = Budget()
+    invariant_report(g, AutContext(g, budget))
+    assert budget.used == report_nodes
+    budget = Budget()
+    canonical_form(g, budget)
+    assert budget.used == canonical_nodes
 
 
 # ---------------------------------------------------------------------------

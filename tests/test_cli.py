@@ -104,6 +104,17 @@ def test_check_witness_round_trip(capsys, tmp_path):
     assert code == 1 and "witness check failed" in err
 
 
+def test_check_witness_rejects_repeated_det_vertex(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "compute", "--family", "path:3", "--json", "--output", str(report))
+    assert code == 0
+    data = json.loads(report.read_text())
+    report.write_text(json.dumps({**data, "det": 2, "witness_det_set": [0, 0]}))
+    code, out, err = run(capsys, "compute", "--check-witness", str(report))
+    assert code == 1 and "passed" not in out
+    assert "witness check failed: witness determining set repeats a vertex" in err
+
+
 def test_check_witness_rejects_malformed_witnesses(capsys, tmp_path):
     report = tmp_path / "report.json"
     code, _, _ = run(capsys, "compute", "--family", "path:4", "--json", "--output", str(report))

@@ -32,9 +32,9 @@ def test_budget_is_spent_only_by_refine(monkeypatch):
         counts["spend"] += 1
         return spend(budget, amount)
 
-    def counted_refine(engine, colors):
+    def counted_refine(*args, **kwargs):
         counts["refine"] += 1
-        return refine(engine, colors)
+        return refine(*args, **kwargs)
 
     monkeypatch.setattr(aut.Budget, "spend", counted_spend)
     monkeypatch.setattr(aut._Engine, "refine", counted_refine)
