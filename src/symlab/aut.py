@@ -25,16 +25,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Graph
 
 DEFAULT_NODE_BUDGET = 10_000_000
-
-# Groups at most this large are expanded into an explicit element list so
-# that repeated colored queries on one graph become cheap filters.
-ENUMERATE_LIMIT = 2048
 
 Perm = tuple[int, ...]
 
@@ -117,24 +112,30 @@ def _is_automorphism(bits: Sequence[int], colors: Sequence[int], sigma: Sequence
     return True
 
 
+def _orbit(v: int, gens: Sequence[Perm]) -> set[int]:
+    """The points that products of ``gens`` take v to."""
+    orbit = {v}
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        for g in gens:
+            w = g[u]
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    return orbit
+
+
 def _orbit_partition(n: int, gens: Sequence[Perm]) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for v in range(n):
-            a, b = find(v), find(g[v])
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
+    """The orbits of ``gens`` as sorted tuples, in order of their least point."""
+    orbits = []
+    seen: set[int] = set()
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(m)) for m in sorted(groups.values()))
+        if v not in seen:
+            orbit = _orbit(v, gens)
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def _transversal(n: int, beta: int, gens: Sequence[Perm], trans: dict | None = None) -> dict[int, Perm]:
@@ -350,7 +351,7 @@ class _Engine:
             fixed: list[int] = []
             for k, (v, done) in enumerate(trail):
                 gens = [a for a in auts if all(a[x] == x for x in fixed)]
-                if not done.isdisjoint(_transversal(self.n, v, gens)):
+                if not done.isdisjoint(_orbit(v, gens)):
                     return k
                 if gamma[v] != v:
                     break  # deeper, gamma is no generator and the others were tried
@@ -363,7 +364,7 @@ class _Engine:
         trail.append(here)
         for v in cell:
             gens = [a for a in auts if all(a[x] == x for x in path)]
-            if gens and not done.isdisjoint(_transversal(self.n, v, gens)):
+            if gens and not done.isdisjoint(_orbit(v, gens)):
                 continue
             here[0] = v
             back = self._canon(self.refine(colors, v), trail, leaves, auts)
@@ -465,51 +466,24 @@ def refine(g: Graph, colors: Sequence[int], budget: Budget | None = None) -> tup
 # ---------------------------------------------------------------------------
 
 class AutContext:
-    """Caches one graph's automorphism group and answers colored queries.
-
-    When the full group is small enough it is expanded once into an explicit
-    element list, and every colored query becomes an exact filter over it;
-    otherwise each query runs its own refinement search.  Both backends give
-    identical answers, so callers stay deterministic either way.
-
-    The filter keeps, per non-identity element p, an ``itemgetter(*p)``: p
-    preserves a coloring iff the getter maps the color tuple onto itself.
-    """
+    """One graph's full automorphism group, kept, and a node budget that every
+    colored query spends through its own refinement search."""
 
     def __init__(self, graph: Graph, budget: Budget | None = None):
         self.graph = graph
         self.budget = budget or Budget()
         self.full = automorphisms(graph, budget=self.budget)
-        self._filter: list[tuple[Perm, itemgetter]] | None = None
-        if self.full.order <= ENUMERATE_LIMIT:
-            # elements are sorted, so the identity sits at index 0; every
-            # other element moves a vertex, so n >= 2 and each getter
-            # returns a tuple
-            elements = sorted(enumerate_elements(self.full))
-            self._filter = [(p, itemgetter(*p)) for p in elements[1:]]
 
     def first_nontrivial(self, colors: Sequence[int]) -> Perm | None:
         key = _color_key(self.graph.n, colors)
-        if self._filter is None:
-            return _Engine(self.graph, key, self.budget).first_nontrivial()
-        for p, get in self._filter:
-            if get(key) == key:
-                return p
-        return None
+        return _Engine(self.graph, key, self.budget).first_nontrivial()
 
     def is_rigid(self, colors: Sequence[int]) -> bool:
         return self.first_nontrivial(colors) is None
 
     def group(self, colors: Sequence[int]) -> PermGroup:
         key = _color_key(self.graph.n, colors)
-        if self._filter is None:
-            return _Engine(self.graph, key, self.budget).group()
-        n = self.graph.n
-        gens = tuple(p for p, get in self._filter if get(key) == key)
-        kept = (identity_perm(n),) + gens
-        # the kept elements form a group, so the orbit of v is its set of images
-        orbits = tuple(sorted({tuple(sorted({p[v] for p in kept})) for v in range(n)}))
-        return PermGroup(n, gens, orbits, (kept,))
+        return _Engine(self.graph, key, self.budget).group()
 
     def pointwise_trivial(self, vertices: Iterable[int]) -> bool:
         """True iff only the identity fixes every vertex of ``vertices``."""

@@ -474,6 +474,9 @@ def check_witnesses(g: Graph, report: InvariantReport,
         problems.append("witness determining set repeats a vertex")
     if len(report.witness_det_set) != report.determining_number:
         problems.append("witness determining set has the wrong size")
-    if not ctx.pointwise_trivial(report.witness_det_set):
+    det_set = set(report.witness_det_set)
+    if not ctx.pointwise_trivial(det_set):
         problems.append("witness determining set does not determine")
+    elif any(ctx.pointwise_trivial(det_set - {v}) for v in det_set):
+        problems.append("witness determining set stays determining without one of its vertices")
     return problems

@@ -67,6 +67,14 @@ def test_compute_budget_exceeded(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_compute_budget_bounds_every_colored_query(capsys):
+    # Q_4's full group costs 21 nodes; the D, rho and det queries on it must
+    # spend the budget too
+    code, out, err = run(capsys, "compute", "--family", "hypercube:4", "--budget", "30", "--json")
+    assert code == 3 and out == ""
+    assert "budget of 30 nodes exhausted" in err and "Traceback" not in err
+
+
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("SYMLAB_BUDGET", "5")
     code, _, _ = run(capsys, "compute", "--family", "friendship:8", "--invariant", "D")
@@ -113,6 +121,18 @@ def test_check_witness_rejects_repeated_det_vertex(capsys, tmp_path):
     code, out, err = run(capsys, "compute", "--check-witness", str(report))
     assert code == 1 and "passed" not in out
     assert "witness check failed: witness determining set repeats a vertex" in err
+
+
+def test_check_witness_rejects_redundant_det_set(capsys, tmp_path):
+    # [0] alone determines P3, so [0, 1] is no minimum determining set
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "compute", "--family", "path:3", "--json", "--output", str(report))
+    assert code == 0
+    data = json.loads(report.read_text())
+    report.write_text(json.dumps({**data, "det": 2, "witness_det_set": [0, 1]}))
+    code, out, err = run(capsys, "compute", "--check-witness", str(report))
+    assert code == 1 and "passed" not in out
+    assert "witness check failed: witness determining set stays determining" in err
 
 
 def test_check_witness_rejects_malformed_witnesses(capsys, tmp_path):
