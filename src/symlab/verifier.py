@@ -10,7 +10,9 @@ picks the loop that calls it: bound checks get one verdict per graph of a
 shared corpus pass, friendship checks get the parsed range of n, and corona
 checks get one verdict per (G, H) pair.  The bound pass judges each
 isomorphism class once per run and hands its verdicts to the later labeled
-graphs of that class.
+graphs of that class.  Every other search (Cor2.6's induced subgraphs, the
+friendship graphs, corona factors and products, hypercubes) goes through one
+per-run memo that keeps one context, and so one budget, per labeled graph.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import itertools
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import families
@@ -206,10 +207,10 @@ def _fail(g6: str, reason: str, **extra) -> Verdict:
 
 
 def _judged(run: Callable[..., Verdict], *args) -> Verdict:
-    """The verdict of one item: a corona pair, a friendship order, or the
-    EngineOracle check of a graph whose other verdicts are reused.  An item
-    that runs out of budget keeps the verdicts of the others, a
-    counterexample among them included."""
+    """The verdict of one item: a corona pair, a friendship order, a
+    hypercube dimension, or the EngineOracle check of a graph whose other
+    verdicts are reused.  An item that runs out of budget keeps the
+    verdicts of the others, a counterexample among them included."""
     try:
         return run(*args)
     except BudgetExceededError:
@@ -238,23 +239,40 @@ def _aggregate(theorem_id: str, corpus_desc: str, verdicts: list[Verdict],
 
 
 # ---------------------------------------------------------------------------
-# bound checks: one verdict per graph of a shared corpus pass
+# per-run facts: one memo for the searches of every check
 # ---------------------------------------------------------------------------
-
-_ORACLE_SAMPLE_STRIDE = 100
-
-# Per-run memo of Cor2.6's induced-subgraph results, keyed by the labeled
-# adjacency ``adj_bits``: [context, distinguishing number, (cost, witness) or
-# None until a graph needs it].  Entries are stored only once computed, so a
-# budget overrun leaves nothing behind, and a later cost query charges the
-# same context budget that one uncached call would.
-_SubMemo = dict[tuple[int, ...], list]
 
 # Per-run verdict cache, keyed by canonical form: the verdicts, one per check
 # id of the run, of the first graph of an isomorphism class.  Each verdict is
 # an isomorphism invariant (notes/decisions.md); a row is stored only when it
 # was computed in full, with no budget overrun and no truncated search.
 _Rows = dict[tuple[int, ...], list[Verdict]]
+
+
+class _Facts:
+    """What one run has computed, kept for that run only: the bound pass's
+    verdict rows, and per labeled graph (``Graph`` is hashable) one context,
+    and so one budget, with D, (rho, witness) and (det, witness) computed on
+    first use.  A value is stored only once it has been computed, so a budget
+    overrun leaves nothing behind; every later query on that graph charges
+    the same budget."""
+
+    def __init__(self, budget_cap: int):
+        self.budget_cap = budget_cap
+        self.rows: _Rows = {}
+        # the caches close over each other, not over self, so a run's facts
+        # are freed by reference counting as soon as the run returns
+        ctx = self.ctx = functools.cache(lambda g: AutContext(g, Budget(budget_cap)))
+        d = self.d = functools.cache(lambda g: distinguishing_number(g, ctx=ctx(g))[0])
+        self.rho = functools.cache(lambda g: cost(g, d=d(g), ctx=ctx(g)))
+        self.det = functools.cache(lambda g: determining_number(g, ctx=ctx(g)))
+
+
+# ---------------------------------------------------------------------------
+# bound checks: one verdict per graph of a shared corpus pass
+# ---------------------------------------------------------------------------
+
+_ORACLE_SAMPLE_STRIDE = 100
 
 
 class _Case(NamedTuple):
@@ -265,8 +283,7 @@ class _Case(NamedTuple):
     rep: InvariantReport
     mindets: list[tuple[int, ...]]  # minimum determining sets, if a check needs them
     truncated: bool
-    budget_cap: int
-    memo: _SubMemo
+    facts: _Facts
 
 
 def _check_prop22(c: _Case) -> Verdict:
@@ -370,18 +387,10 @@ def _check_cor26(c: _Case) -> Verdict:
         if not A:
             continue
         sub, index = induced_subgraph(ctx.graph, A)
-        entry = c.memo.get(sub.adj_bits)
-        if entry is None:
-            sub_ctx = AutContext(sub, Budget(c.budget_cap))
-            d_sub, _ = distinguishing_number(sub, ctx=sub_ctx)
-            entry = c.memo[sub.adj_bits] = [sub_ctx, d_sub, None]
-        sub_ctx, d_sub, found = entry
-        if d_sub != d - 1:
+        if c.facts.d(sub) != d - 1:
             continue
         met = True
-        if found is None:
-            found = entry[2] = cost(sub, d=d_sub, ctx=sub_ctx)
-        rho_sub, wit = found
+        rho_sub, wit = c.facts.rho(sub)
         bound = min(rep.n - rep.determining_number, rho_sub)
         if rep.cost > bound:
             return _fail(rep.graph6, "cost exceeds induced-subgraph bound",
@@ -410,16 +419,16 @@ def _check_engine_oracle(c: _Case) -> Verdict:
     return _engine_oracle(c.index, c.graph, lambda: c.ctx.full)
 
 
-def _graph_verdicts(index: int, g: Graph, ids: tuple[str, ...], budget_cap: int,
-                    memo: _SubMemo, rows: _Rows) -> list[Verdict]:
+def _graph_verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts) -> list[Verdict]:
     """One verdict per check id for the corpus graph at ``index``.  A graph
-    whose isomorphism class already has a row in ``rows`` reuses it, except
-    for EngineOracle, which is judged per labeled graph."""
+    whose isomorphism class already has a row in ``facts.rows`` reuses it,
+    except for EngineOracle, which is judged per labeled graph."""
+    budget_cap = facts.budget_cap
     try:
         key = canonical_form(g, Budget(budget_cap))
     except BudgetExceededError:
         key = None
-    row = rows.get(key)
+    row = facts.rows.get(key)
     if row is not None:
         group = functools.partial(automorphisms, g, budget=Budget(budget_cap))
         return [_judged(_engine_oracle, index, g, group) if check == "EngineOracle" else v
@@ -429,49 +438,47 @@ def _graph_verdicts(index: int, g: Graph, ids: tuple[str, ...], budget_cap: int,
         rep = invariant_report(g, ctx=ctx)
         mindets, truncated = (minimum_determining_sets(g, ctx=ctx)
                               if "Thm1.1" in ids or "Cor2.6" in ids else ([], False))
-        case = _Case(index, g, ctx, rep, mindets, truncated, budget_cap, memo)
+        case = _Case(index, g, ctx, rep, mindets, truncated, facts)
         row = [_REGISTRY[check].run(case) for check in ids]
     except BudgetExceededError:
         return [_BUDGET] * len(ids)
     if key is not None and not truncated:
-        rows[key] = row
+        facts.rows[key] = row
     return row
 
 
-# the per-run caches of one pool worker, set by the pool's initializer; each
+# the per-run facts of one pool worker, set by the pool's initializer; each
 # pool starts fresh workers, so they live for one run
-_worker_caches: tuple[_SubMemo, _Rows] | None = None
+_worker_facts: _Facts | None = None
 
 
-def _init_worker() -> None:
-    global _worker_caches
-    _worker_caches = ({}, {})
+def _init_worker(budget_cap: int) -> None:
+    global _worker_facts
+    _worker_facts = _Facts(budget_cap)
 
 
-def _bound_worker(args: tuple[int, str, tuple[str, ...], int]) -> list[Verdict]:
-    index, g6, ids, budget_cap = args
-    return _graph_verdicts(index, parse_graph6(g6), ids, budget_cap, *_worker_caches)
+def _bound_worker(args: tuple[int, str, tuple[str, ...]]) -> list[Verdict]:
+    index, g6, ids = args
+    return _graph_verdicts(index, parse_graph6(g6), ids, _worker_facts)
 
 
-def _run_bound_checks(ids: Sequence[str], corpus_spec: str, budget_cap: int,
+def _run_bound_checks(ids: Sequence[str], corpus_spec: str, facts: _Facts,
                       jobs: int) -> list[TheoremReport]:
     ids = tuple(ids)
     per_check: list[list[Verdict]] = [[] for _ in ids]
     checked = 0
     if jobs > 1:
-        tasks = ((i, emit_graph6(g), ids, budget_cap)
-                 for i, g in enumerate(corpus(corpus_spec)))
-        with multiprocessing.Pool(jobs, initializer=_init_worker) as pool:
+        tasks = ((i, emit_graph6(g), ids) for i, g in enumerate(corpus(corpus_spec)))
+        with multiprocessing.Pool(jobs, initializer=_init_worker,
+                                  initargs=(facts.budget_cap,)) as pool:
             for row in pool.imap(_bound_worker, tasks, chunksize=64):
                 checked += 1
                 for verdicts, v in zip(per_check, row):
                     verdicts.append(v)
     else:
-        memo: _SubMemo = {}
-        rows: _Rows = {}
         for i, g in enumerate(corpus(corpus_spec)):
             checked += 1
-            for verdicts, v in zip(per_check, _graph_verdicts(i, g, ids, budget_cap, memo, rows)):
+            for verdicts, v in zip(per_check, _graph_verdicts(i, g, ids, facts)):
                 verdicts.append(v)
     return [_aggregate(check, corpus_spec, verdicts, checked)
             for check, verdicts in zip(ids, per_check)]
@@ -481,41 +488,33 @@ def _run_bound_checks(ids: Sequence[str], corpus_spec: str, budget_cap: int,
 # friendship checks: one call per range of n
 # ---------------------------------------------------------------------------
 
-def _friendship_values(budget_cap: int) -> SimpleNamespace:
-    """Search-computed friendship invariants, memoized for one run: one
-    context, and so one budget, per n; d, rho and det are computed on first use."""
-    ctx = functools.cache(lambda n: AutContext(friendship(n), Budget(budget_cap)))
-    d = functools.cache(lambda n: distinguishing_number(ctx(n).graph, ctx=ctx(n))[0])
-    rho = functools.cache(lambda n: cost(ctx(n).graph, d=d(n), ctx=ctx(n))[0])
-    det = functools.cache(lambda n: determining_number(ctx(n).graph, ctx=ctx(n)))
-    return SimpleNamespace(ctx=ctx, d=d, rho=rho, det=det)
-
-
 FriendshipResult = tuple[list[Verdict], str | None]
 
 
-def _search_matches_formula(a: int, b: int, search: Callable[[int], int],
+def _search_matches_formula(a: int, b: int, search: Callable[[Graph], int],
                             formula: Callable[[int], int], reason: str) -> FriendshipResult:
     def one(n: int) -> Verdict:
-        want, got = formula(n), search(n)
-        return _OK if got == want else _fail(emit_graph6(friendship(n)), reason,
+        g = friendship(n)
+        want, got = formula(n), search(g)
+        return _OK if got == want else _fail(emit_graph6(g), reason,
                                              n=n, computed=got, formula=want)
     return [_judged(one, n) for n in range(a, b + 1)], None
 
 
-def _thm31(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
-    return _search_matches_formula(a, b, vals.d, families.friendship_distinguishing_number,
+def _thm31(a: int, b: int, facts: _Facts) -> FriendshipResult:
+    return _search_matches_formula(a, b, facts.d, families.friendship_distinguishing_number,
                                    "distinguishing number mismatch")
 
 
-def _thm33(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
-    return _search_matches_formula(a, b, vals.rho, families.friendship_cost, "cost mismatch")
+def _thm33(a: int, b: int, facts: _Facts) -> FriendshipResult:
+    return _search_matches_formula(a, b, lambda g: facts.rho(g)[0], families.friendship_cost,
+                                   "cost mismatch")
 
 
-def _rem32(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
+def _rem32(a: int, b: int, facts: _Facts) -> FriendshipResult:
     if a != 2:
         raise CorpusError("threshold check needs the friendship range to start at 2")
-    computed = {n: vals.d(n) for n in range(a, b + 1)}
+    computed = {n: facts.d(friendship(n)) for n in range(a, b + 1)}
     verdicts: list[Verdict] = []
     levels = sorted({j for j in computed.values()
                      if families.friendship_threshold(j) + j - 1 <= b})
@@ -535,22 +534,21 @@ def _rem32(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
     return verdicts, f"levels checked: {levels}"
 
 
-def _thm34(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
+def _thm34(a: int, b: int, facts: _Facts) -> FriendshipResult:
     def one(n: int) -> Verdict:
-        det, _ = vals.det(n)
+        g = friendship(n)
+        det, _ = facts.det(g)
         one_per_triangle = tuple(range(1, 2 * n, 2))
         if det != n:
-            return _fail(emit_graph6(friendship(n)),
-                         "determining number differs from n", n=n, computed=det)
-        if not vals.ctx(n).pointwise_trivial(one_per_triangle):
-            return _fail(emit_graph6(friendship(n)),
-                         "one-outer-vertex-per-triangle set does not determine",
+            return _fail(emit_graph6(g), "determining number differs from n", n=n, computed=det)
+        if not facts.ctx(g).pointwise_trivial(one_per_triangle):
+            return _fail(emit_graph6(g), "one-outer-vertex-per-triangle set does not determine",
                          witness=list(one_per_triangle))
         return _OK
     return [_judged(one, n) for n in range(a, b + 1)], None
 
 
-def _thm28(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
+def _thm28(a: int, b: int, facts: _Facts) -> FriendshipResult:
     gaps = {n: families.friendship_gap(n) for n in range(a, b + 1)}
     achieved = sorted(set(gaps.values()))
     predicted = sorted({families.friendship_threshold(families.friendship_distinguishing_number(n)) - 1
@@ -561,9 +559,10 @@ def _thm28(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
                               achieved=achieved, predicted=predicted))
     for n in range(a, b + 1):
         # spot-check the closed form against full searches where cheap
-        searched = abs(vals.det(n)[0] - vals.rho(n)) if n <= 4 else gaps[n]
+        g = friendship(n)
+        searched = abs(facts.det(g)[0] - facts.rho(g)[0]) if n <= 4 else gaps[n]
         verdicts.append(_OK if searched == gaps[n] else
-                        _fail(emit_graph6(friendship(n)), "searched gap differs from closed form",
+                        _fail(emit_graph6(g), "searched gap differs from closed form",
                               n=n, searched=searched, formula=gaps[n]))
     notes = (f"achieved gaps {achieved}: thresholds minus one, i.e. triangular numbers; "
              f"values between consecutive triangular numbers are not achieved by this family")
@@ -575,11 +574,10 @@ def _thm28(a: int, b: int, vals: SimpleNamespace) -> FriendshipResult:
 # ---------------------------------------------------------------------------
 
 def _thm41(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
-           budget_cap: int) -> Verdict:
+           facts: _Facts) -> Verdict:
     if not (g.is_connected() and h.is_connected() and g.n >= 2 and h.n >= 2):
         return _UNMET
-    det_g, det_h, det_prod = (determining_number(x, ctx=AutContext(x, Budget(budget_cap)))[0]
-                              for x in (g, h, prod))
+    det_g, det_h, det_prod = (facts.det(x)[0] for x in (g, h, prod))
     want = families.corona_determining_number(det_g, g.n, det_h)
     if det_prod != want:
         return _fail(emit_graph6(prod), "corona determining mismatch",
@@ -589,13 +587,12 @@ def _thm41(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
 
 
 def _thm42(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
-           budget_cap: int) -> Verdict:
+           facts: _Facts) -> Verdict:
     if h.n != 1:
         raise CorpusError("pendant corona check needs the second factor to be complete:1")
     if not (g.is_connected() and g.n >= 2):
         return _UNMET
-    det_g, det_prod = (determining_number(x, ctx=AutContext(x, Budget(budget_cap)))[0]
-                       for x in (g, prod))
+    det_g, det_prod = (facts.det(x)[0] for x in (g, prod))
     if det_prod != families.corona_pendant_determining_number(det_g):
         return _fail(emit_graph6(prod), "pendant corona determining mismatch",
                      pair=gs.to_string(), computed=det_prod, base=det_g)
@@ -603,20 +600,13 @@ def _thm42(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
 
 
 def _thm43(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
-           budget_cap: int) -> Verdict:
+           facts: _Facts) -> Verdict:
     if not (g.is_connected() and h.is_connected() and g.n >= 2 and h.n >= 2):
         return _UNMET
-    gctx = AutContext(g, Budget(budget_cap))
-    hctx = AutContext(h, Budget(budget_cap))
-    pctx = AutContext(prod, Budget(budget_cap))
-    d_g = distinguishing_number(g, ctx=gctx)[0]
-    d_h = distinguishing_number(h, ctx=hctx)[0]
-    d_prod = distinguishing_number(prod, ctx=pctx)[0]
+    d_g, d_h, d_prod = (facts.d(x) for x in (g, h, prod))
     if d_prod != max(d_g, d_h):
         return _UNMET  # bound not applicable
-    rho_g = cost(g, d=d_g, ctx=gctx)[0]
-    rho_h = cost(h, d=d_h, ctx=hctx)[0]
-    rho_prod = cost(prod, d=d_prod, ctx=pctx)[0]
+    rho_g, rho_h, rho_prod = (facts.rho(x)[0] for x in (g, h, prod))
     bound = families.corona_cost_bound(rho_g, g.n, rho_h)
     if rho_prod > bound:
         return _fail(emit_graph6(prod), "corona cost bound violated",
@@ -626,7 +616,7 @@ def _thm43(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
 
 
 def _corona_degree(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
-                   budget_cap: int) -> Verdict:
+                   facts: _Facts) -> Verdict:
     if not (g.is_connected() and h.is_connected() and g.n >= 2):
         return _UNMET
     base_degs = {prod.degree(v) for v in range(g.n)}
@@ -644,20 +634,19 @@ def _corona_degree(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Gra
 _HYPERCUBE_DIMS = (3, 4)
 
 
-def _run_hypercube(budget_cap: int) -> tuple[list[Verdict], str]:
-    verdicts: list[Verdict] = []
+def _run_hypercube(facts: _Facts) -> tuple[list[Verdict], str]:
     values = {}
-    for k in _HYPERCUBE_DIMS:
+
+    def one(k: int) -> Verdict:
         g = hypercube(k)
-        ctx = AutContext(g, Budget(budget_cap))
-        d, _ = distinguishing_number(g, ctx=ctx)
-        rho, _ = cost(g, d=d, ctx=ctx)
-        values[k] = rho
+        rho = values[k] = facts.rho(g)[0]
         ceil_log = (k - 1).bit_length()
         lo, hi = ceil_log - 1, ceil_log + 1
-        verdicts.append(_OK if lo <= rho <= hi else
-                        _fail(emit_graph6(g), "cost outside the quoted log bounds",
-                              dim=k, rho=rho, low=lo, high=hi))
+        if lo <= rho <= hi:
+            return _OK
+        return _fail(emit_graph6(g), "cost outside the quoted log bounds",
+                     dim=k, rho=rho, low=lo, high=hi)
+    verdicts = [_judged(one, k) for k in _HYPERCUBE_DIMS]
     return verdicts, f"computed costs {values} (informative check)"
 
 
@@ -672,12 +661,15 @@ _THM42_PAIRS = "(path:3),(complete:1);(cycle:4),(complete:1);(complete:3),(compl
 @dataclass(frozen=True)
 class CheckDef:
     """A registered check; ``kind`` names the loop that calls ``run``: "bound"
-    (per graph), "friendship" (per range), "corona" (per pair), "hypercube" (once)."""
+    (per graph), "friendship" (per range), "corona" (per pair), "hypercube"
+    (once).  An informative check reports its findings but never gates the
+    exit code."""
     theorem_id: str
     kind: str
     default_corpus: str
     description: str
     run: Callable = dataclasses.field(repr=False, compare=False)
+    informative: bool = False
 
 
 _BOUND_CORPUS = "all-connected:<=6"
@@ -718,7 +710,7 @@ _REGISTRY: dict[str, CheckDef] = {c.theorem_id: c for c in (
              "no copy vertex shares a degree with a base vertex", _corona_degree),
     CheckDef("HypercubeCost", "hypercube", f"hypercube dims {list(_HYPERCUBE_DIMS)}",
              "hypercube cost lies within the quoted logarithmic bounds (informative)",
-             _run_hypercube),
+             _run_hypercube, informative=True),
 )}
 
 
@@ -739,15 +731,14 @@ def run_suite(ids: Sequence[str] | None = None, corpus_override: str | None = No
     for check in ids:
         if check not in _REGISTRY:
             raise UnknownCheckError(f"unknown check id {check!r}")
-    budget_cap = budget if budget is not None else DEFAULT_NODE_BUDGET
+    facts = _Facts(budget if budget is not None else DEFAULT_NODE_BUDGET)
     reports: dict[str, TheoremReport] = {}
 
     bound_ids = [c for c in ids if _REGISTRY[c].kind == "bound"]
     if bound_ids:
         spec = corpus_override or _REGISTRY[bound_ids[0]].default_corpus
-        reports.update(zip(bound_ids, _run_bound_checks(bound_ids, spec, budget_cap, jobs)))
+        reports.update(zip(bound_ids, _run_bound_checks(bound_ids, spec, facts, jobs)))
 
-    vals = _friendship_values(budget_cap)
     rest = [c for c in ids if _REGISTRY[c].kind != "bound"]
     for entry in sorted((_REGISTRY[c] for c in rest), key=lambda e: e.kind != "friendship"):
         spec = corpus_override or entry.default_corpus
@@ -757,18 +748,18 @@ def run_suite(ids: Sequence[str] | None = None, corpus_override: str | None = No
             if entry.kind == "friendship":
                 a, b = _friendship_range(_corpus_rest(spec, "friendship"))
                 checked = b - a + 1
-                verdicts, notes = entry.run(a, b, vals)
+                verdicts, notes = entry.run(a, b, facts)
             elif entry.kind == "corona":
                 pairs = _corona_pairs(_corpus_rest(spec, "corona-pairs"))
                 checked, notes = len(pairs), None
-                verdicts = [_judged(entry.run, *pair, budget_cap) for pair in pairs]
+                verdicts = [_judged(entry.run, *pair, facts) for pair in pairs]
             else:
                 checked = len(_HYPERCUBE_DIMS)
-                verdicts, notes = entry.run(budget_cap)
+                verdicts, notes = entry.run(facts)
         except BudgetExceededError:
             verdicts, notes = [_BUDGET], None
         report = _aggregate(entry.theorem_id, spec, verdicts, checked, notes)
-        report.informative = entry.kind == "hypercube"
+        report.informative = entry.informative
         reports[entry.theorem_id] = report
     return [reports[c] for c in ids]
 

@@ -230,6 +230,15 @@ def test_verify_budget_exceeded_outside_bound_pass(capsys):
     assert report["status"] == "budget-exceeded" and report["informative"]
 
 
+def test_verify_hypercube_dimensions_are_judged_one_by_one(capsys):
+    # Q3 fits in 200 nodes and Q4 does not: the overrun on Q4 keeps Q3's verdict
+    code, out, _ = run(capsys, "verify", "--suite", "HypercubeCost", "--budget", "200", "--json")
+    assert code == 0
+    [report] = json.loads(out)
+    assert (report["status"], report["hypothesis_met"]) == ("budget-exceeded", 1)
+    assert report["notes"] == "computed costs {3: 1} (informative check)"
+
+
 def test_verify_malformed_corpus_file_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text("Bg\n!!!\nA_\n")

@@ -196,6 +196,29 @@ def test_bound_pass_builds_one_context_per_distinct_subgraph(monkeypatch):
     assert counts[1] == counts[0]
 
 
+def test_non_bound_checks_build_one_context_per_distinct_graph(monkeypatch):
+    # one run keeps one context per labeled graph its checks search: the
+    # corona checks search 9 distinct graphs over their 7 pairs (P3, K2 and
+    # P3∘K2 recur), the friendship checks friendship:2..8 once each
+    import symlab.verifier as verifier
+
+    built = []
+
+    class CountingContext(verifier.AutContext):
+        def __init__(self, graph, *args, **kwargs):
+            built.append(graph)
+            super().__init__(graph, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "AutContext", CountingContext)
+    reports = run_suite(["Thm4.1", "Thm4.2", "Thm4.3"])
+    assert [r.status for r in reports] == ["counterexample", "verified", "verified"]
+    assert len(built) == len(set(built)) == 9
+    built.clear()
+    reports = run_suite(["Thm3.1", "Rem3.2", "Thm3.3", "Thm3.4", "Thm2.8"])
+    assert all(r.status == "verified" for r in reports)
+    assert len(built) == len(set(built)) == 7
+
+
 def test_cached_verdicts_equal_uncached(tmp_path):
     # Each bound verdict is an isomorphism invariant, so a corpus that repeats
     # isomorphism classes, and so reuses cached verdicts, reports what its
@@ -286,11 +309,12 @@ def test_bound_checks_on_spot_graphs_order_7_to_9(tmp_path):
     assert all(r.graphs_checked == len(spots) for r in reports)
 
 
-def test_default_suite_end_to_end():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_default_suite_end_to_end(jobs):
     # the complete registered suite over its default corpora: everything
     # verifies except the two genuine findings (corona equality fails hard,
     # hypercube cost fails informatively)
-    reports = run_suite(jobs=2)
+    reports = run_suite(jobs=jobs)
     # every field of every report is pinned by the checked-in output of
     # `symlab verify --suite default --json`
     golden = json.loads((Path(__file__).parent / "data" / "verify_default.json").read_text())
