@@ -211,6 +211,29 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
     raise AssertionError("no distinguishing labeling found at the known distinguishing number")
 
 
+def _base_search(ctx: AutContext, branches: dict[tuple[int, ...], list[int]],
+                 prefix: tuple[int, ...], todo: int) -> tuple[int, ...] | None:
+    # module level, not a closure that calls itself: such a closure would hold
+    # ctx in a reference cycle after the search returns
+    exts = branches.get(prefix)
+    if exts is None:
+        group = ctx.group(pointwise_colors(ctx.graph.n, prefix)) if prefix else ctx.full
+        low = prefix[-1] if prefix else -1
+        # orbits are sorted tuples, so orbit[0] is the least point of each
+        exts = branches[prefix] = sorted(orbit[0] for orbit in group.orbits
+                                         if len(orbit) > 1 and orbit[0] > low)
+    for v in exts:
+        ext = prefix + (v,)
+        if todo == 1:
+            if ctx.pointwise_trivial(ext):
+                return ext
+        else:
+            found = _base_search(ctx, branches, ext, todo - 1)
+            if found is not None:
+                return found
+    return None
+
+
 def determining_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
     """Size of a minimum determining set plus the lexicographically least witness.
 
@@ -222,34 +245,9 @@ def determining_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tu
     ctx = ctx or AutContext(g)
     if ctx.full.order == 1:
         return 0, ()
-    n = g.n
     branches: dict[tuple[int, ...], list[int]] = {}
-
-    def extensions(prefix: tuple[int, ...]) -> list[int]:
-        got = branches.get(prefix)
-        if got is None:
-            group = ctx.group(pointwise_colors(n, prefix)) if prefix else ctx.full
-            low = prefix[-1] if prefix else -1
-            # orbits are sorted tuples, so orbit[0] is the least point of each
-            got = sorted(orbit[0] for orbit in group.orbits
-                         if len(orbit) > 1 and orbit[0] > low)
-            branches[prefix] = got
-        return got
-
-    def search(prefix: tuple[int, ...], todo: int) -> tuple[int, ...] | None:
-        for v in extensions(prefix):
-            ext = prefix + (v,)
-            if todo == 1:
-                if ctx.pointwise_trivial(ext):
-                    return ext
-            else:
-                found = search(ext, todo - 1)
-                if found is not None:
-                    return found
-        return None
-
-    for k in range(1, n + 1):
-        found = search((), k)
+    for k in range(1, g.n + 1):
+        found = _base_search(ctx, branches, (), k)
         if found is not None:
             return k, found
     raise AssertionError("the full vertex set always determines")

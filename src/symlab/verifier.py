@@ -5,10 +5,11 @@ one of: ``verified``, ``counterexample`` (with a replayable payload),
 ``hypothesis-never-met`` (the gate of a conditional statement never held,
 which is deliberately not a pass), or ``budget-exceeded``.
 
-A check is one registry entry that carries its callable.  The corpus kind
-picks the loop that calls it: bound checks get one verdict per graph of a
-shared corpus pass, friendship checks get the parsed range of n, and corona
-checks get one verdict per (G, H) pair.  The bound pass judges each
+A check is one registry entry that carries its callable.  Bound checks get
+one verdict per graph of a shared corpus pass.  Every other check is called
+once with the items its corpus kind parses to (a range of friendship orders,
+(G, H) pairs, hypercube dimensions), all parsed before the first search; the
+per-item ones judge each item on its own.  The bound pass judges each
 isomorphism class once per run and hands its verdicts to the later labeled
 graphs of that class.  Every other search (Cor2.6's induced subgraphs, the
 friendship graphs, corona factors and products, hypercubes) goes through one
@@ -21,6 +22,7 @@ import dataclasses
 import functools
 import itertools
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -31,8 +33,7 @@ from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET, 
                   enumerate_elements, labeling_colors)
 from .graphs import (FamilySpec, FamilySpecError, Graph, Graph6Error, corona,
                      emit_graph6, friendship, from_edge_list, hypercube,
-                     induced_subgraph, parse_family_spec, parse_graph6,
-                     split_corona_args)
+                     induced_subgraph, parse_family_spec, parse_graph6)
 from .invariants import (InvariantReport, cost, determining_number,
                          distinguishing_number, invariant_report,
                          minimum_determining_sets, subset_distinguishing_witness,
@@ -89,8 +90,20 @@ def _connected_exact(n: int) -> Iterator[Graph]:
             yield g
 
 
-def _friendship_range(text: str) -> tuple[int, int]:
-    """The bounds of ``A..B`` (or ``A``), a range of friendship orders n >= 2."""
+def _connected_orders(text: str) -> range:
+    """The orders of ``<=N`` (1 to N) or ``N`` (N alone), N >= 1."""
+    upto = text.startswith("<=")
+    try:
+        n = int(text[2:] if upto else text)
+    except ValueError:
+        raise CorpusError(f"bad order {text!r}") from None
+    if n < 1:
+        raise CorpusError(f"order must be >= 1, got {n}")
+    return range(1 if upto else n, n + 1)
+
+
+def _friendship_range(text: str) -> range:
+    """The friendship orders of ``A..B`` (or ``A``), n >= 2."""
     lo, sep, hi = text.partition("..")
     try:
         a = int(lo)
@@ -101,10 +114,13 @@ def _friendship_range(text: str) -> tuple[int, int]:
         raise CorpusError(f"empty friendship range {text!r}")
     if a < 2:
         raise CorpusError(f"friendship graphs start at n=2, got {a}")
-    return a, b
+    return range(a, b + 1)
 
 
-def _corona_pairs(text: str) -> list[tuple[FamilySpec, FamilySpec, Graph, Graph, Graph]]:
+_Pair = tuple[FamilySpec, FamilySpec, Graph, Graph, Graph]
+
+
+def _corona_pairs(text: str) -> list[_Pair]:
     """Parse ';'-separated pairs of parenthesized family specs and build each
     pair: (G spec, H spec, G, H, G∘H)."""
     pairs = []
@@ -113,7 +129,7 @@ def _corona_pairs(text: str) -> list[tuple[FamilySpec, FamilySpec, Graph, Graph,
         if not chunk:
             continue
         try:
-            gs, hs = (parse_family_spec(part) for part in split_corona_args(chunk))
+            gs, hs = parse_family_spec(f"corona:{chunk}").parts
             g, h = gs.build(), hs.build()
         except FamilySpecError as exc:
             raise CorpusError(f"bad corona pair {chunk!r}: {exc}") from exc
@@ -144,26 +160,10 @@ def corpus(spec: str) -> Iterator[Graph]:
     if not sep:
         raise CorpusError(f"missing ':' in corpus spec {spec!r}")
     if kind == "all-connected":
-        if rest.startswith("<="):
-            try:
-                nmax = int(rest[2:])
-            except ValueError:
-                raise CorpusError(f"bad order bound {rest!r}") from None
-            if nmax < 1:
-                raise CorpusError(f"order bound must be >= 1, got {nmax}")
-            for n in range(1, nmax + 1):
-                yield from _connected_exact(n)
-        else:
-            try:
-                n = int(rest)
-            except ValueError:
-                raise CorpusError(f"bad order {rest!r}") from None
-            if n < 1:
-                raise CorpusError(f"order must be >= 1, got {n}")
+        for n in _connected_orders(rest):
             yield from _connected_exact(n)
     elif kind == "friendship":
-        a, b = _friendship_range(rest)
-        for n in range(a, b + 1):
+        for n in _friendship_range(rest):
             yield friendship(n)
     elif kind == "corona-pairs":
         for *_, prod in _corona_pairs(rest):
@@ -207,9 +207,8 @@ def _fail(g6: str, reason: str, **extra) -> Verdict:
 
 
 def _judged(run: Callable[..., Verdict], *args) -> Verdict:
-    """The verdict of one item: a corona pair, a friendship order, a
-    hypercube dimension, or the EngineOracle check of a graph whose other
-    verdicts are reused.  An item that runs out of budget keeps the
+    """The verdict of one item, or of the EngineOracle check of a graph whose
+    other verdicts are reused.  An item that runs out of budget keeps the
     verdicts of the others, a counterexample among them included."""
     try:
         return run(*args)
@@ -218,24 +217,22 @@ def _judged(run: Callable[..., Verdict], *args) -> Verdict:
 
 
 def _aggregate(theorem_id: str, corpus_desc: str, verdicts: list[Verdict],
-               checked: int, notes: str | None = None) -> TheoremReport:
+               checked: int, notes: str | None, informative: bool) -> TheoremReport:
     hyp = sum(1 for h, _, _ in verdicts if h)
     fail = next((v for v in verdicts if v[1] == "fail"), None)
     if fail is not None:
-        return TheoremReport(theorem_id, corpus_desc, checked, hyp,
-                             "counterexample", fail[2], notes)
-    if any(v[1] == "budget" for v in verdicts):
-        return TheoremReport(theorem_id, corpus_desc, checked, hyp,
-                             "budget-exceeded", None, notes)
-    widened = sum(1 for v in verdicts if v[1] == "widened")
-    if widened:
-        extra = (f"on {widened} graph(s) no minimum determining set qualified; "
-                 f"verified through a larger constructive witness set")
-        notes = f"{notes}; {extra}" if notes else extra
-    if hyp == 0:
-        return TheoremReport(theorem_id, corpus_desc, checked, 0,
-                             "hypothesis-never-met", None, notes)
-    return TheoremReport(theorem_id, corpus_desc, checked, hyp, "verified", None, notes)
+        status, payload = "counterexample", fail[2]
+    elif any(v[1] == "budget" for v in verdicts):
+        status, payload = "budget-exceeded", None
+    else:
+        widened = sum(1 for v in verdicts if v[1] == "widened")
+        if widened:
+            extra = (f"on {widened} graph(s) no minimum determining set qualified; "
+                     f"verified through a larger constructive witness set")
+            notes = f"{notes}; {extra}" if notes else extra
+        status, payload = ("verified" if hyp else "hypothesis-never-met"), None
+    return TheoremReport(theorem_id, corpus_desc, checked, hyp, status, payload, notes,
+                         informative)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +381,6 @@ def _check_cor26(c: _Case) -> Verdict:
         return _UNMET
     met = False
     for A in c.mindets:
-        if not A:
-            continue
         sub, index = induced_subgraph(ctx.graph, A)
         if c.facts.d(sub) != d - 1:
             continue
@@ -463,58 +458,61 @@ def _bound_worker(args: tuple[int, str, tuple[str, ...]]) -> list[Verdict]:
 
 
 def _run_bound_checks(ids: Sequence[str], corpus_spec: str, facts: _Facts,
-                      jobs: int) -> list[TheoremReport]:
+                      jobs: int) -> list[list[Verdict]]:
+    """Per check id its verdicts, one per corpus graph; the pool, if any, has
+    at most one worker per CPU."""
     ids = tuple(ids)
     per_check: list[list[Verdict]] = [[] for _ in ids]
-    checked = 0
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
         tasks = ((i, emit_graph6(g), ids) for i, g in enumerate(corpus(corpus_spec)))
-        with multiprocessing.Pool(jobs, initializer=_init_worker,
+        with multiprocessing.Pool(workers, initializer=_init_worker,
                                   initargs=(facts.budget_cap,)) as pool:
             for row in pool.imap(_bound_worker, tasks, chunksize=64):
-                checked += 1
                 for verdicts, v in zip(per_check, row):
                     verdicts.append(v)
     else:
         for i, g in enumerate(corpus(corpus_spec)):
-            checked += 1
             for verdicts, v in zip(per_check, _graph_verdicts(i, g, ids, facts)):
                 verdicts.append(v)
-    return [_aggregate(check, corpus_spec, verdicts, checked)
-            for check, verdicts in zip(ids, per_check)]
+    return per_check
 
 
 # ---------------------------------------------------------------------------
-# friendship checks: one call per range of n
+# checks over parsed items: friendship orders, corona pairs, hypercube dims
 # ---------------------------------------------------------------------------
 
-FriendshipResult = tuple[list[Verdict], str | None]
+ItemsResult = tuple[list[Verdict], str | None]
 
 
-def _search_matches_formula(a: int, b: int, search: Callable[[Graph], int],
-                            formula: Callable[[int], int], reason: str) -> FriendshipResult:
-    def one(n: int) -> Verdict:
-        g = friendship(n)
-        want, got = formula(n), search(g)
-        return _OK if got == want else _fail(emit_graph6(g), reason,
-                                             n=n, computed=got, formula=want)
-    return [_judged(one, n) for n in range(a, b + 1)], None
+def _each(one: Callable[..., Verdict], items: Sequence, facts: _Facts) -> ItemsResult:
+    """Judge each item on its own with ``one(item, facts)``."""
+    return [_judged(one, item, facts) for item in items], None
 
 
-def _thm31(a: int, b: int, facts: _Facts) -> FriendshipResult:
-    return _search_matches_formula(a, b, facts.d, families.friendship_distinguishing_number,
-                                   "distinguishing number mismatch")
+def _matches_formula(n: int, search: Callable[[Graph], int], formula: Callable[[int], int],
+                     reason: str) -> Verdict:
+    g = friendship(n)
+    want, got = formula(n), search(g)
+    return _OK if got == want else _fail(emit_graph6(g), reason,
+                                         n=n, computed=got, formula=want)
 
 
-def _thm33(a: int, b: int, facts: _Facts) -> FriendshipResult:
-    return _search_matches_formula(a, b, lambda g: facts.rho(g)[0], families.friendship_cost,
-                                   "cost mismatch")
+def _thm31(n: int, facts: _Facts) -> Verdict:
+    return _matches_formula(n, facts.d, families.friendship_distinguishing_number,
+                            "distinguishing number mismatch")
 
 
-def _rem32(a: int, b: int, facts: _Facts) -> FriendshipResult:
-    if a != 2:
+def _thm33(n: int, facts: _Facts) -> Verdict:
+    return _matches_formula(n, lambda g: facts.rho(g)[0], families.friendship_cost,
+                            "cost mismatch")
+
+
+def _rem32(orders: range, facts: _Facts) -> ItemsResult:
+    if orders.start != 2:
         raise CorpusError("threshold check needs the friendship range to start at 2")
-    computed = {n: facts.d(friendship(n)) for n in range(a, b + 1)}
+    b = orders[-1]
+    computed = {n: facts.d(friendship(n)) for n in orders}
     verdicts: list[Verdict] = []
     levels = sorted({j for j in computed.values()
                      if families.friendship_threshold(j) + j - 1 <= b})
@@ -534,30 +532,28 @@ def _rem32(a: int, b: int, facts: _Facts) -> FriendshipResult:
     return verdicts, f"levels checked: {levels}"
 
 
-def _thm34(a: int, b: int, facts: _Facts) -> FriendshipResult:
-    def one(n: int) -> Verdict:
-        g = friendship(n)
-        det, _ = facts.det(g)
-        one_per_triangle = tuple(range(1, 2 * n, 2))
-        if det != n:
-            return _fail(emit_graph6(g), "determining number differs from n", n=n, computed=det)
-        if not facts.ctx(g).pointwise_trivial(one_per_triangle):
-            return _fail(emit_graph6(g), "one-outer-vertex-per-triangle set does not determine",
-                         witness=list(one_per_triangle))
-        return _OK
-    return [_judged(one, n) for n in range(a, b + 1)], None
+def _thm34(n: int, facts: _Facts) -> Verdict:
+    g = friendship(n)
+    det, _ = facts.det(g)
+    one_per_triangle = tuple(range(1, 2 * n, 2))
+    if det != n:
+        return _fail(emit_graph6(g), "determining number differs from n", n=n, computed=det)
+    if not facts.ctx(g).pointwise_trivial(one_per_triangle):
+        return _fail(emit_graph6(g), "one-outer-vertex-per-triangle set does not determine",
+                     witness=list(one_per_triangle))
+    return _OK
 
 
-def _thm28(a: int, b: int, facts: _Facts) -> FriendshipResult:
-    gaps = {n: families.friendship_gap(n) for n in range(a, b + 1)}
+def _thm28(orders: range, facts: _Facts) -> ItemsResult:
+    gaps = {n: families.friendship_gap(n) for n in orders}
     achieved = sorted(set(gaps.values()))
     predicted = sorted({families.friendship_threshold(families.friendship_distinguishing_number(n)) - 1
-                        for n in range(a, b + 1)})
+                        for n in orders})
     verdicts: list[Verdict] = []
     if achieved != predicted:
         verdicts.append(_fail("", "gap set differs from threshold-1 prediction",
                               achieved=achieved, predicted=predicted))
-    for n in range(a, b + 1):
+    for n in orders:
         # spot-check the closed form against full searches where cheap
         g = friendship(n)
         searched = abs(facts.det(g)[0] - facts.rho(g)[0]) if n <= 4 else gaps[n]
@@ -569,12 +565,8 @@ def _thm28(a: int, b: int, facts: _Facts) -> FriendshipResult:
     return verdicts, notes
 
 
-# ---------------------------------------------------------------------------
-# corona checks: one verdict per (G, H) pair
-# ---------------------------------------------------------------------------
-
-def _thm41(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
-           facts: _Facts) -> Verdict:
+def _thm41(pair: _Pair, facts: _Facts) -> Verdict:
+    gs, hs, g, h, prod = pair
     if not (g.is_connected() and h.is_connected() and g.n >= 2 and h.n >= 2):
         return _UNMET
     det_g, det_h, det_prod = (facts.det(x)[0] for x in (g, h, prod))
@@ -586,8 +578,8 @@ def _thm41(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
     return _OK
 
 
-def _thm42(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
-           facts: _Facts) -> Verdict:
+def _thm42(pair: _Pair, facts: _Facts) -> Verdict:
+    gs, _, g, h, prod = pair
     if h.n != 1:
         raise CorpusError("pendant corona check needs the second factor to be complete:1")
     if not (g.is_connected() and g.n >= 2):
@@ -599,8 +591,8 @@ def _thm42(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
     return _OK
 
 
-def _thm43(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
-           facts: _Facts) -> Verdict:
+def _thm43(pair: _Pair, facts: _Facts) -> Verdict:
+    gs, hs, g, h, prod = pair
     if not (g.is_connected() and h.is_connected() and g.n >= 2 and h.n >= 2):
         return _UNMET
     d_g, d_h, d_prod = (facts.d(x) for x in (g, h, prod))
@@ -615,8 +607,8 @@ def _thm43(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
     return _OK
 
 
-def _corona_degree(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Graph,
-                   facts: _Facts) -> Verdict:
+def _corona_degree(pair: _Pair, facts: _Facts) -> Verdict:
+    _, _, g, h, prod = pair
     if not (g.is_connected() and h.is_connected() and g.n >= 2):
         return _UNMET
     base_degs = {prod.degree(v) for v in range(g.n)}
@@ -627,17 +619,20 @@ def _corona_degree(gs: FamilySpec, hs: FamilySpec, g: Graph, h: Graph, prod: Gra
     return _OK
 
 
-# ---------------------------------------------------------------------------
-# hypercube cost sanity (informative, fixed corpus)
-# ---------------------------------------------------------------------------
-
 _HYPERCUBE_DIMS = (3, 4)
+_HYPERCUBE_CORPUS = f"hypercube dims {list(_HYPERCUBE_DIMS)}"
 
 
-def _run_hypercube(facts: _Facts) -> tuple[list[Verdict], str]:
+def _hypercube_dims(spec: str) -> tuple[int, ...]:
+    if spec != _HYPERCUBE_CORPUS:
+        raise CorpusError("the hypercube check has a fixed corpus")
+    return _HYPERCUBE_DIMS
+
+
+def _run_hypercube(dims: Sequence[int], facts: _Facts) -> ItemsResult:
     values = {}
 
-    def one(k: int) -> Verdict:
+    def one(k: int, facts: _Facts) -> Verdict:
         g = hypercube(k)
         rho = values[k] = facts.rho(g)[0]
         ceil_log = (k - 1).bit_length()
@@ -646,7 +641,7 @@ def _run_hypercube(facts: _Facts) -> tuple[list[Verdict], str]:
             return _OK
         return _fail(emit_graph6(g), "cost outside the quoted log bounds",
                      dim=k, rho=rho, low=lo, high=hi)
-    verdicts = [_judged(one, k) for k in _HYPERCUBE_DIMS]
+    verdicts, _ = _each(one, dims, facts)
     return verdicts, f"computed costs {values} (informative check)"
 
 
@@ -660,10 +655,12 @@ _THM42_PAIRS = "(path:3),(complete:1);(cycle:4),(complete:1);(complete:3),(compl
 
 @dataclass(frozen=True)
 class CheckDef:
-    """A registered check; ``kind`` names the loop that calls ``run``: "bound"
-    (per graph), "friendship" (per range), "corona" (per pair), "hypercube"
-    (once).  An informative check reports its findings but never gates the
-    exit code."""
+    """A registered check.  A "bound" check is called as ``run(case)`` once
+    per graph of the shared corpus pass.  Every other ``kind`` names the
+    parser in ``_ITEMS`` that turns a corpus spec into items (friendship
+    orders, corona pairs, hypercube dimensions), and the check is called once
+    as ``run(items, facts) -> (verdicts, notes)``.  An informative check
+    reports its findings but never gates the exit code."""
     theorem_id: str
     kind: str
     default_corpus: str
@@ -671,6 +668,13 @@ class CheckDef:
     run: Callable = dataclasses.field(repr=False, compare=False)
     informative: bool = False
 
+
+# the items of each non-bound kind, parsed from a corpus spec with no search
+_ITEMS: dict[str, Callable[[str], Sequence]] = {
+    "friendship": lambda spec: _friendship_range(_corpus_rest(spec, "friendship")),
+    "corona": lambda spec: _corona_pairs(_corpus_rest(spec, "corona-pairs")),
+    "hypercube": _hypercube_dims,
+}
 
 _BOUND_CORPUS = "all-connected:<=6"
 _REGISTRY: dict[str, CheckDef] = {c.theorem_id: c for c in (
@@ -690,25 +694,29 @@ _REGISTRY: dict[str, CheckDef] = {c.theorem_id: c for c in (
              _check_cor27),
     CheckDef("EngineOracle", "bound", _BOUND_CORPUS, "engine group equals the brute-force "
              "permutation filter on a 1% sample", _check_engine_oracle),
-    CheckDef("Thm3.1", "friendship", "friendship:2..8",
-             "friendship distinguishing numbers match the closed form", _thm31),
+    CheckDef("Thm3.1", "friendship", "friendship:2..8", "friendship distinguishing numbers "
+             "match the closed form", functools.partial(_each, _thm31)),
     CheckDef("Rem3.2", "friendship", "friendship:2..7", "label-count thresholds of the "
              "friendship family match the closed form", _rem32),
     CheckDef("Thm3.3", "friendship", "friendship:2..6", "friendship costs match offset + 1",
-             _thm33),
-    CheckDef("Thm3.4", "friendship", "friendship:2..6",
-             "friendship determining number equals the triangle count", _thm34),
+             functools.partial(_each, _thm33)),
+    CheckDef("Thm3.4", "friendship", "friendship:2..6", "friendship determining number "
+             "equals the triangle count", functools.partial(_each, _thm34)),
     CheckDef("Thm2.8", "friendship", "friendship:2..12",
              "achieved |det - cost| gap set for the friendship family", _thm28),
     CheckDef("Thm4.1", "corona", f"corona-pairs:{_THM41_PAIRS}",
-             "corona determining number = det(G) + n*det(H)", _thm41),
+             "corona determining number = det(G) + n*det(H)",
+             functools.partial(_each, _thm41)),
     CheckDef("Thm4.2", "corona", f"corona-pairs:{_THM42_PAIRS}",
-             "pendant corona keeps the determining number", _thm42),
+             "pendant corona keeps the determining number",
+             functools.partial(_each, _thm42)),
     CheckDef("Thm4.3", "corona", "corona-pairs:(path:3),(complete:2)",
-             "corona cost bound when the label counts agree", _thm43),
+             "corona cost bound when the label counts agree",
+             functools.partial(_each, _thm43)),
     CheckDef("CoronaDegree", "corona", f"corona-pairs:{_THM41_PAIRS}",
-             "no copy vertex shares a degree with a base vertex", _corona_degree),
-    CheckDef("HypercubeCost", "hypercube", f"hypercube dims {list(_HYPERCUBE_DIMS)}",
+             "no copy vertex shares a degree with a base vertex",
+             functools.partial(_each, _corona_degree)),
+    CheckDef("HypercubeCost", "hypercube", _HYPERCUBE_CORPUS,
              "hypercube cost lies within the quoted logarithmic bounds (informative)",
              _run_hypercube, informative=True),
 )}
@@ -722,45 +730,32 @@ def run_suite(ids: Sequence[str] | None = None, corpus_override: str | None = No
               budget: int | None = None, jobs: int = 1) -> list[TheoremReport]:
     """Run the selected checks (default: all) and return their reports.
 
-    The bound checks share one corpus pass and run first, then the
-    friendship checks, then the rest, each group in the order given.  A
-    check whose search runs out of budget reports ``budget-exceeded``, and
-    the checks after it still run."""
+    Every corpus is parsed before the first search.  The bound checks
+    share one corpus pass and run first, then the others in the order
+    given.  A check whose search runs out of budget reports
+    ``budget-exceeded``, and the checks after it still run."""
     if ids is None:
         ids = list(_REGISTRY)
     for check in ids:
         if check not in _REGISTRY:
             raise UnknownCheckError(f"unknown check id {check!r}")
+    specs = {c: corpus_override or _REGISTRY[c].default_corpus for c in ids}
+    items = {c: _ITEMS[_REGISTRY[c].kind](specs[c])
+             for c in ids if _REGISTRY[c].kind != "bound"}
+    bound = [c for c in ids if c not in items]
     facts = _Facts(budget if budget is not None else DEFAULT_NODE_BUDGET)
-    reports: dict[str, TheoremReport] = {}
-
-    bound_ids = [c for c in ids if _REGISTRY[c].kind == "bound"]
-    if bound_ids:
-        spec = corpus_override or _REGISTRY[bound_ids[0]].default_corpus
-        reports.update(zip(bound_ids, _run_bound_checks(bound_ids, spec, facts, jobs)))
-
-    rest = [c for c in ids if _REGISTRY[c].kind != "bound"]
-    for entry in sorted((_REGISTRY[c] for c in rest), key=lambda e: e.kind != "friendship"):
-        spec = corpus_override or entry.default_corpus
-        if entry.kind == "hypercube" and corpus_override is not None:
-            raise CorpusError("the hypercube check has a fixed corpus")
+    # per check id: its verdicts, the number of items checked, and notes
+    found: dict[str, tuple[list[Verdict], int, str | None]] = {}
+    if bound:
+        per_check = _run_bound_checks(bound, specs[bound[0]], facts, jobs)
+        found.update((c, (verdicts, len(verdicts), None)) for c, verdicts in zip(bound, per_check))
+    for check, got in items.items():
         try:
-            if entry.kind == "friendship":
-                a, b = _friendship_range(_corpus_rest(spec, "friendship"))
-                checked = b - a + 1
-                verdicts, notes = entry.run(a, b, facts)
-            elif entry.kind == "corona":
-                pairs = _corona_pairs(_corpus_rest(spec, "corona-pairs"))
-                checked, notes = len(pairs), None
-                verdicts = [_judged(entry.run, *pair, facts) for pair in pairs]
-            else:
-                checked = len(_HYPERCUBE_DIMS)
-                verdicts, notes = entry.run(facts)
+            verdicts, notes = _REGISTRY[check].run(got, facts)
         except BudgetExceededError:
             verdicts, notes = [_BUDGET], None
-        report = _aggregate(entry.theorem_id, spec, verdicts, checked, notes)
-        report.informative = entry.informative
-        reports[entry.theorem_id] = report
+        found[check] = verdicts, len(got), notes
+    reports = {c: _aggregate(c, specs[c], *found[c], _REGISTRY[c].informative) for c in found}
     return [reports[c] for c in ids]
 
 

@@ -228,6 +228,12 @@ def test_verify_budget_exceeded_outside_bound_pass(capsys):
     assert code == 0
     [report] = json.loads(out)
     assert report["status"] == "budget-exceeded" and report["informative"]
+    # a check that reads its whole range at once overruns as a whole
+    for check in ("Rem3.2", "Thm2.8"):
+        code, out, _ = run(capsys, "verify", "--suite", check, "--budget", "5", "--json")
+        assert code == 3
+        [report] = json.loads(out)
+        assert (report["status"], report["hypothesis_met"]) == ("budget-exceeded", 0)
 
 
 def test_verify_hypercube_dimensions_are_judged_one_by_one(capsys):
@@ -237,6 +243,26 @@ def test_verify_hypercube_dimensions_are_judged_one_by_one(capsys):
     [report] = json.loads(out)
     assert (report["status"], report["hypothesis_met"]) == ("budget-exceeded", 1)
     assert report["notes"] == "computed costs {3: 1} (informative check)"
+
+
+def test_verify_rejects_a_wrong_corpus_kind_before_any_search(capsys, monkeypatch):
+    # a non-bound check whose corpus has the wrong kind fails before the
+    # bound pass starts, not after it
+    import symlab.verifier as verifier
+
+    searched = []
+    canonical_form = verifier.canonical_form
+
+    def counted(*args):
+        searched.append(args[0])
+        return canonical_form(*args)
+
+    monkeypatch.setattr(verifier, "canonical_form", counted)
+    for suite in ("Prop2.2,Thm3.1", "Prop2.2,HypercubeCost", "Prop2.2,Thm4.1"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--corpus", "all-connected:<=4")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "corpus" in err
+    assert searched == []
 
 
 def test_verify_malformed_corpus_file_is_usage_error(capsys, tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -219,6 +221,61 @@ def test_non_bound_checks_build_one_context_per_distinct_graph(monkeypatch):
     assert len(built) == len(set(built)) == 7
 
 
+def test_run_frees_every_context_it_built(monkeypatch):
+    # with the cyclic collector off, reference counting alone must free every
+    # context a run searched once the run returns
+    import symlab.aut as aut
+
+    built = []
+    init = aut.AutContext.__init__
+
+    def tracked(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(aut.AutContext, "__init__", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        for ids, spec in ((["Prop2.2", "Cor2.6"], "all-connected:<=4"),
+                          (["Thm3.4", "Thm4.1", "Thm4.3"], None)):
+            built.clear()
+            run_suite(ids, corpus_override=spec)
+            assert built and [r for r in built if r() is not None] == [], ids
+    finally:
+        gc.enable()
+
+
+def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
+    # an in-process stand-in records the pool size; no process is started
+    import symlab.verifier as verifier
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks, chunksize):
+            return map(func, tasks)
+
+    monkeypatch.setattr(verifier.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(verifier, "_worker_facts", None)
+    serial = run_suite(["Prop2.2", "Cor2.6"], corpus_override="all-connected:<=4")
+    assert sizes == []
+    pooled = run_suite(["Prop2.2", "Cor2.6"], corpus_override="all-connected:<=4", jobs=10_000)
+    assert sizes == [3]
+    assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+
+
 def test_cached_verdicts_equal_uncached(tmp_path):
     # Each bound verdict is an isomorphism invariant, so a corpus that repeats
     # isomorphism classes, and so reuses cached verdicts, reports what its
@@ -284,6 +341,23 @@ def test_registry_lists_all_checks():
     ids = [c.theorem_id for c in registered_checks()]
     assert "Thm1.1" in ids and "Thm4.3" in ids and "EngineOracle" in ids
     assert len(ids) == len(set(ids))
+
+
+def test_every_default_corpus_parses_without_search(monkeypatch):
+    # each non-bound kind has one parser, and each default corpus parses,
+    # with no search, into as many items as the default suite reports checked
+    import symlab.verifier as verifier
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("parsing a corpus must not search")
+
+    monkeypatch.setattr(verifier, "AutContext", no_search)
+    monkeypatch.setattr(verifier, "canonical_form", no_search)
+    golden = json.loads((Path(__file__).parent / "data" / "verify_default.json").read_text())
+    checked = {r["theorem_id"]: r["graphs_checked"] for r in golden}
+    sizes = [len(verifier._ITEMS[c.kind](c.default_corpus))
+             for c in registered_checks() if c.kind != "bound"]
+    assert sizes == [checked[c.theorem_id] for c in registered_checks() if c.kind != "bound"]
 
 
 def test_bound_checks_on_spot_graphs_order_7_to_9(tmp_path):
