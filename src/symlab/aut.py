@@ -252,16 +252,13 @@ class _Engine:
     @staticmethod
     def target_cell(colors: Sequence[int]) -> list[int] | None:
         """First smallest non-singleton class, or None when discrete."""
-        sizes: dict[int, int] = {}
-        for c in colors:
-            sizes[c] = sizes.get(c, 0) + 1
-        best: tuple[int, int] | None = None
-        for c, k in sizes.items():
-            if k >= 2 and (best is None or (k, c) < best):
-                best = (k, c)
-        if best is None:
+        best, cell = len(colors) + 1, None
+        for c, k in enumerate(_Engine.shape(colors)):
+            if 1 < k < best:
+                best, cell = k, c
+        if cell is None:
             return None
-        return [v for v, c in enumerate(colors) if c == best[1]]
+        return [v for v, c in enumerate(colors) if c == cell]
 
     # -- complete search for one mapping between two configurations -----------
 
@@ -415,12 +412,7 @@ def pointwise_colors(n: int, vertices: Iterable[int]) -> list[int]:
     """Color vector that individualizes ``vertices``: the i-th smallest gets color
     i + 1, every other vertex color 0.  Its colored group is the pointwise
     stabilizer of the set."""
-    colors = [0] * n
-    for i, v in enumerate(sorted(set(vertices))):
-        if not (0 <= v < n):
-            raise ValueError(f"vertex {v} out of range for order {n}")
-        colors[v] = i + 1
-    return colors
+    return labeling_colors(n, {v: i + 1 for i, v in enumerate(sorted(set(vertices)))}, 0)
 
 
 def enumerate_elements(group: PermGroup) -> Iterator[Perm]:
@@ -482,8 +474,7 @@ class AutContext:
         return self.first_nontrivial(colors) is None
 
     def group(self, colors: Sequence[int]) -> PermGroup:
-        key = _color_key(self.graph.n, colors)
-        return _Engine(self.graph, key, self.budget).group()
+        return automorphisms(self.graph, colors, self.budget)
 
     def pointwise_trivial(self, vertices: Iterable[int]) -> bool:
         """True iff only the identity fixes every vertex of ``vertices``."""

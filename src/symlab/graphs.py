@@ -403,7 +403,7 @@ class FamilySpec:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
 
 
-def split_corona_args(rest: str) -> tuple[str, str]:
+def _split_corona_args(rest: str) -> tuple[str, str]:
     """The two part specs of a corona argument string '(spec),(spec)'."""
     if not rest.startswith("("):
         raise FamilySpecError(f"corona arguments must be parenthesized: {rest!r}")
@@ -431,7 +431,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     if not sep:
         raise FamilySpecError(f"missing ':' in family spec {text!r}")
     if kind == "corona":
-        a, b = split_corona_args(rest.strip())
+        a, b = _split_corona_args(rest.strip())
         return FamilySpec("corona", (), (parse_family_spec(a), parse_family_spec(b)))
     if kind not in _SIMPLE_KINDS:
         raise FamilySpecError(f"unknown family kind {kind!r}")

@@ -46,18 +46,15 @@ from .graphs import Graph, emit_graph6
 # labeling search core
 # ---------------------------------------------------------------------------
 
-def _lex_tables(ctx: AutContext, fixed: Sequence[frozenset[int]]) -> list[Perm]:
-    """Inverse tables of group generators (and their inverses) that fix every
-    pre-assigned class setwise; used for the orbit prune."""
-    seen: set[Perm] = set()
+def _lex_tables(ctx: AutContext, fixed: frozenset[int]) -> list[Perm]:
+    """Group generators and their inverses, each once, that fix the
+    pre-assigned class ``fixed`` setwise; used for the orbit prune.  The set
+    is closed under inverses, so it is its own set of inverse tables."""
     tables: list[Perm] = []
     for gen in ctx.full.generators:
         for p in (gen, invert(gen)):
-            if p in seen:
-                continue
-            seen.add(p)
-            if all(frozenset(p[v] for v in cls) == cls for cls in fixed):
-                tables.append(invert(p))
+            if p not in tables and all(p[v] in fixed for v in fixed):
+                tables.append(p)
     return tables
 
 
@@ -82,7 +79,6 @@ class _LabelSearch:
     def __init__(self, ctx: AutContext, labels: list[int], order: list[int],
                  pool: int, tables: Sequence[Perm]):
         self.ctx = ctx
-        self.n = ctx.graph.n
         self.labels = labels
         self.order = order
         self.pool = pool
@@ -90,14 +86,8 @@ class _LabelSearch:
 
     def _pw_colors(self) -> list[int]:
         # unlabeled vertices get pairwise-distinct colors above the label range
-        labels = self.labels
-        fresh = self.pool + 2
-        out = list(labels)
-        for v in range(self.n):
-            if labels[v] == 0:
-                out[v] = fresh
-                fresh += 1
-        return out
+        fresh = itertools.count(self.pool + 2)
+        return [lab or next(fresh) for lab in self.labels]
 
     def run(self, start: int, used: int) -> list[int] | None:
         labels = self.labels
@@ -108,18 +98,15 @@ class _LabelSearch:
         if start == len(self.order):
             return list(labels)
         todo = self.order[start:]
-        if self.pool == 1:
-            # single possible completion
-            out = list(labels)
-            for v in todo:
-                out[v] = 1
-            return out if self.ctx.is_rigid(out) else None
         if used < self.pool and self.ctx.is_rigid(labels):
             # 0 acts as one shared "rest" class; promote it to a fresh label
             out = list(labels)
             for v in todo:
                 out[v] = used + 1
             return out
+        if self.pool == 1:
+            # the rest as one class was the only completion left
+            return None
         v = todo[0]
         for lab in range(1, min(used + 1, self.pool) + 1):
             labels[v] = lab
@@ -131,28 +118,17 @@ class _LabelSearch:
         return None
 
 
-def _search_distinguishing(ctx: AutContext, d: int) -> list[int] | None:
-    """A d-label distinguishing labeling of the whole graph, or None."""
-    n = ctx.graph.n
-    search = _LabelSearch(ctx, [0] * n, list(range(n)), d, _lex_tables(ctx, ()))
-    return search.run(0, 0)
-
-
-def _search_cost_class(ctx: AutContext, d: int, cls: Sequence[int]) -> list[int] | None:
-    """A distinguishing d-labeling whose d-th class is exactly ``cls``, or None."""
+def _search(ctx: AutContext, pool: int, cls: Sequence[int] = ()) -> list[int] | None:
+    """A distinguishing labeling that gives the vertices of ``cls`` the label
+    pool + 1 and every other vertex one of the labels 1..pool, or None.  The
+    search branches on ``cls`` first, then on the other vertices in order."""
     n = ctx.graph.n
     labels = [0] * n
     for v in cls:
-        labels[v] = d
+        labels[v] = pool + 1
     order = sorted(cls) + [v for v in range(n) if labels[v] == 0]
-    tables = _lex_tables(ctx, (frozenset(cls),))
-    search = _LabelSearch(ctx, labels, order, d - 1, tables)
-    got = search.run(len(cls), 0)
-    if got is None:
-        return None
-    if max(got) != d or len(set(got)) != d:
-        raise AssertionError("cost witness uses fewer labels than the distinguishing number")
-    return got
+    search = _LabelSearch(ctx, labels, order, pool, _lex_tables(ctx, frozenset(cls)))
+    return search.run(len(cls), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +141,7 @@ def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int,
     if ctx.full.order == 1:
         return 1, (1,) * g.n
     for d in range(2, g.n + 1):
-        got = _search_distinguishing(ctx, d)
+        got = _search(ctx, d)
         if got is not None:
             if max(got) != d:
                 raise AssertionError("distinguishing witness skipped a smaller label count")
@@ -205,8 +181,11 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
                 f"cost search passed the n - determining-number cutoff ({n - det_hint})"
             )
         for cls in _class_candidates(ctx, k):
-            got = _search_cost_class(ctx, d, cls)
+            got = _search(ctx, d - 1, cls)
             if got is not None:
+                if max(got) != d or len(set(got)) != d:
+                    raise AssertionError(
+                        "cost witness uses fewer labels than the distinguishing number")
                 return k, tuple(got)
     raise AssertionError("no distinguishing labeling found at the known distinguishing number")
 

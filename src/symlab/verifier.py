@@ -509,8 +509,6 @@ def _thm33(n: int, facts: _Facts) -> Verdict:
 
 
 def _rem32(orders: range, facts: _Facts) -> ItemsResult:
-    if orders.start != 2:
-        raise CorpusError("threshold check needs the friendship range to start at 2")
     b = orders[-1]
     computed = {n: facts.d(friendship(n)) for n in orders}
     verdicts: list[Verdict] = []
@@ -579,9 +577,7 @@ def _thm41(pair: _Pair, facts: _Facts) -> Verdict:
 
 
 def _thm42(pair: _Pair, facts: _Facts) -> Verdict:
-    gs, _, g, h, prod = pair
-    if h.n != 1:
-        raise CorpusError("pendant corona check needs the second factor to be complete:1")
+    gs, _, g, _, prod = pair
     if not (g.is_connected() and g.n >= 2):
         return _UNMET
     det_g, det_prod = (facts.det(x)[0] for x in (g, prod))
@@ -669,10 +665,28 @@ class CheckDef:
     informative: bool = False
 
 
+def _threshold_orders(spec: str) -> range:
+    # Rem3.2 reads the first n of each label count, so its range starts at 2
+    orders = _friendship_range(_corpus_rest(spec, "friendship"))
+    if orders.start != 2:
+        raise CorpusError("threshold check needs the friendship range to start at 2")
+    return orders
+
+
+def _pendant_pairs(spec: str) -> list[_Pair]:
+    # Thm4.2 is stated for H = K1
+    pairs = _corona_pairs(_corpus_rest(spec, "corona-pairs"))
+    if any(h.n != 1 for _, _, _, h, _ in pairs):
+        raise CorpusError("pendant corona check needs the second factor to be complete:1")
+    return pairs
+
+
 # the items of each non-bound kind, parsed from a corpus spec with no search
 _ITEMS: dict[str, Callable[[str], Sequence]] = {
     "friendship": lambda spec: _friendship_range(_corpus_rest(spec, "friendship")),
+    "threshold": _threshold_orders,
     "corona": lambda spec: _corona_pairs(_corpus_rest(spec, "corona-pairs")),
+    "pendant-corona": _pendant_pairs,
     "hypercube": _hypercube_dims,
 }
 
@@ -696,7 +710,7 @@ _REGISTRY: dict[str, CheckDef] = {c.theorem_id: c for c in (
              "permutation filter on a 1% sample", _check_engine_oracle),
     CheckDef("Thm3.1", "friendship", "friendship:2..8", "friendship distinguishing numbers "
              "match the closed form", functools.partial(_each, _thm31)),
-    CheckDef("Rem3.2", "friendship", "friendship:2..7", "label-count thresholds of the "
+    CheckDef("Rem3.2", "threshold", "friendship:2..7", "label-count thresholds of the "
              "friendship family match the closed form", _rem32),
     CheckDef("Thm3.3", "friendship", "friendship:2..6", "friendship costs match offset + 1",
              functools.partial(_each, _thm33)),
@@ -707,7 +721,7 @@ _REGISTRY: dict[str, CheckDef] = {c.theorem_id: c for c in (
     CheckDef("Thm4.1", "corona", f"corona-pairs:{_THM41_PAIRS}",
              "corona determining number = det(G) + n*det(H)",
              functools.partial(_each, _thm41)),
-    CheckDef("Thm4.2", "corona", f"corona-pairs:{_THM42_PAIRS}",
+    CheckDef("Thm4.2", "pendant-corona", f"corona-pairs:{_THM42_PAIRS}",
              "pendant corona keeps the determining number",
              functools.partial(_each, _thm42)),
     CheckDef("Thm4.3", "corona", "corona-pairs:(path:3),(complete:2)",

@@ -297,12 +297,23 @@ def test_canonical_form_spends_the_budget():
     ("corona:(path:3),(complete:2)", 410, 15),
     ("complete_bipartite:5,5", 1038, 53),
     ("star:10", 1708, 55),
+    # "spec@1": the graph under the vertex relabeling drawn with key 1, as
+    # the labeling search's effort depends on the vertex labeling
+    ("friendship:6@1", 7461, 28),
+    ("hypercube:3@1", 208, 10),
+    ("cycle:12@1", 75, 10),
+    ("corona:(path:3),(complete:2)@1", 305, 15),
 ])
 def test_search_effort_is_pinned(spec, report_nodes, canonical_nodes):
     # Budget.used counts refine calls: a cheaper refine must not change the
     # search, and every colored query of the context spends it
     from symlab import build_family, invariant_report
+    spec, relabel, key = spec.partition("@")
     g = build_family(spec)
+    if relabel:
+        sigma = list(range(g.n))
+        random.Random(f"{key}:{spec}").shuffle(sigma)
+        g = _oracles.relabeled(g, sigma)
     budget = Budget()
     invariant_report(g, AutContext(g, budget))
     assert budget.used == report_nodes

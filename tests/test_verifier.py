@@ -137,6 +137,26 @@ def test_corpus_kind_mismatch_rejected():
         run_check("Thm3.1", "friendship:1..3")
 
 
+def test_check_corpus_rules_hold_before_any_search(monkeypatch):
+    # Rem3.2's and Thm4.2's own corpus rules are part of their kinds' parsers,
+    # so a suite that breaks one exits before the bound pass searches a graph
+    import symlab.verifier as verifier
+    calls = []
+    canonical_form = verifier.canonical_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return canonical_form(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "canonical_form", counted)
+    with pytest.raises(CorpusError, match="start at 2"):
+        run_suite(["Prop2.2", "Rem3.2"], corpus_override="friendship:3..7")
+    with pytest.raises(CorpusError, match="second factor to be complete:1"):
+        run_suite(["Prop2.2", "Thm4.2"],
+                  corpus_override="corona-pairs:(path:3),(complete:1);(path:3),(path:2)")
+    assert calls == []
+
+
 def test_budget_exceeded_status():
     rep = run_check("Prop2.2", "all-connected:4", budget=3)
     assert rep.status == "budget-exceeded"
