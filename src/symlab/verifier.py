@@ -11,9 +11,12 @@ once with the items its corpus kind parses to (a range of friendship orders,
 (G, H) pairs, hypercube dimensions), all parsed before the first search; the
 per-item ones judge each item on its own.  The bound pass judges each
 isomorphism class once per run and hands its verdicts to the later labeled
-graphs of that class.  Every other search (Cor2.6's induced subgraphs, the
-friendship graphs, corona factors and products, hypercubes) goes through one
-per-run memo that keeps one context, and so one budget, per labeled graph.
+graphs of that class; over ``all-connected``, which holds every relabeling,
+the first canonical search of a class marks its whole orbit of edge masks,
+so a later copy needs no search at all.  Every other search (Cor2.6's
+induced subgraphs, the friendship graphs, corona factors and products,
+hypercubes) goes through one per-run memo that keeps one context, and so one
+budget, per labeled graph.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import functools
 import itertools
 import multiprocessing
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -80,9 +84,15 @@ def exit_code_for(reports: Sequence[TheoremReport]) -> int:
 # corpora
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs of order n in edge-mask order: bit i is pair i."""
+    return tuple(itertools.combinations(range(n), 2))
+
+
 def _connected_exact(n: int) -> Iterator[Graph]:
-    """Every labeled connected graph on exactly n vertices, by edge subset."""
-    pairs = list(itertools.combinations(range(n), 2))
+    """Every labeled connected graph on exactly n vertices, by edge mask."""
+    pairs = _pairs(n)
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
         g = from_edge_list(n, edges)
@@ -91,7 +101,7 @@ def _connected_exact(n: int) -> Iterator[Graph]:
 
 
 def _connected_orders(text: str) -> range:
-    """The orders of ``<=N`` (1 to N) or ``N`` (N alone), N >= 1."""
+    """The orders of ``<=N`` (1 to N) or ``N`` (N alone), 1 <= N <= 7."""
     upto = text.startswith("<=")
     try:
         n = int(text[2:] if upto else text)
@@ -99,6 +109,8 @@ def _connected_orders(text: str) -> range:
         raise CorpusError(f"bad order {text!r}") from None
     if n < 1:
         raise CorpusError(f"order must be >= 1, got {n}")
+    if n > 7:  # order 8 alone has 251,548,592 labeled connected graphs
+        raise CorpusError(f"all-connected order must be <= 7, got {n}; use a file: corpus")
     return range(1 if upto else n, n + 1)
 
 
@@ -239,6 +251,39 @@ def _aggregate(theorem_id: str, corpus_desc: str, verdicts: list[Verdict],
 # per-run facts: one memo for the searches of every check
 # ---------------------------------------------------------------------------
 
+class _OrbitMarks:
+    """The class keys of the labeled graphs of one order, by edge mask.
+
+    ``table[mask]`` is 0, or 1 plus the index in ``keys`` of the canonical
+    form of the graph with that edge mask (``_pairs`` order).  A mask is
+    marked with its whole S_n-orbit, found under (0 1) and (0 1 ... n-1),
+    which generate S_n."""
+
+    def __init__(self, n: int):
+        pairs = _pairs(n)
+        self.bit = {p: 1 << i for i, p in enumerate(pairs)}
+        self.table = array("H", [0]) * (1 << len(pairs))
+        self.keys: list[tuple[int, ...]] = []
+        gens = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
+        # per generator, the image bit of each pair
+        self.moves = [[self.bit[tuple(sorted((s[u], s[v])))] for u, v in pairs] for s in gens]
+
+    def mask(self, g: Graph) -> int:
+        return sum(self.bit[e] for e in g.edges())
+
+    def mark(self, mask: int, key: tuple[int, ...]) -> None:
+        """Mark the orbit of ``mask`` with ``key``, by breadth-first search."""
+        self.keys.append(key)
+        self.table[mask] = slot = len(self.keys)
+        frontier = [mask]
+        for mask in frontier:
+            for move in self.moves:
+                image = sum(b for i, b in enumerate(move) if mask >> i & 1)
+                if not self.table[image]:
+                    self.table[image] = slot
+                    frontier.append(image)
+
+
 # Per-run verdict cache, keyed by canonical form: the verdicts, one per check
 # id of the run, of the first graph of an isomorphism class.  Each verdict is
 # an isomorphism invariant (notes/decisions.md); a row is stored only when it
@@ -254,15 +299,34 @@ class _Facts:
     overrun leaves nothing behind; every later query on that graph charges
     the same budget."""
 
-    def __init__(self, budget_cap: int):
+    def __init__(self, budget_cap: int, every_relabeling: bool):
         self.budget_cap = budget_cap
         self.rows: _Rows = {}
+        # per order, the orbit marks of a corpus known to hold every
+        # relabeling of each of its graphs (all-connected); None otherwise
+        self.marks = functools.cache(_OrbitMarks) if every_relabeling else None
         # the caches close over each other, not over self, so a run's facts
         # are freed by reference counting as soon as the run returns
         ctx = self.ctx = functools.cache(lambda g: AutContext(g, Budget(budget_cap)))
         d = self.d = functools.cache(lambda g: distinguishing_number(g, ctx=ctx(g))[0])
         self.rho = functools.cache(lambda g: cost(g, d=d(g), ctx=ctx(g)))
         self.det = functools.cache(lambda g: determining_number(g, ctx=ctx(g)))
+
+    def class_key(self, g: Graph) -> tuple[int, ...] | None:
+        """The canonical form of ``g``, or None if its search overran; with
+        marks, read from its orbit's mark, or searched and marked."""
+        marks = self.marks(g.n) if self.marks else None
+        if marks:
+            mask = marks.mask(g)
+            if marks.table[mask]:
+                return marks.keys[marks.table[mask] - 1]
+        try:
+            key = canonical_form(g, Budget(self.budget_cap))
+        except BudgetExceededError:
+            return None
+        if marks:
+            marks.mark(mask, key)
+        return key
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +483,7 @@ def _graph_verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts) -
     whose isomorphism class already has a row in ``facts.rows`` reuses it,
     except for EngineOracle, which is judged per labeled graph."""
     budget_cap = facts.budget_cap
-    try:
-        key = canonical_form(g, Budget(budget_cap))
-    except BudgetExceededError:
-        key = None
+    key = facts.class_key(g)
     row = facts.rows.get(key)
     if row is not None:
         group = functools.partial(automorphisms, g, budget=Budget(budget_cap))
@@ -447,9 +508,9 @@ def _graph_verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts) -
 _worker_facts: _Facts | None = None
 
 
-def _init_worker(budget_cap: int) -> None:
+def _init_worker(budget_cap: int, every_relabeling: bool) -> None:
     global _worker_facts
-    _worker_facts = _Facts(budget_cap)
+    _worker_facts = _Facts(budget_cap, every_relabeling)
 
 
 def _bound_worker(args: tuple[int, str, tuple[str, ...]]) -> list[Verdict]:
@@ -467,7 +528,7 @@ def _run_bound_checks(ids: Sequence[str], corpus_spec: str, facts: _Facts,
     if workers > 1:
         tasks = ((i, emit_graph6(g), ids) for i, g in enumerate(corpus(corpus_spec)))
         with multiprocessing.Pool(workers, initializer=_init_worker,
-                                  initargs=(facts.budget_cap,)) as pool:
+                                  initargs=(facts.budget_cap, bool(facts.marks))) as pool:
             for row in pool.imap(_bound_worker, tasks, chunksize=64):
                 for verdicts, v in zip(per_check, row):
                     verdicts.append(v)
@@ -757,7 +818,8 @@ def run_suite(ids: Sequence[str] | None = None, corpus_override: str | None = No
     items = {c: _ITEMS[_REGISTRY[c].kind](specs[c])
              for c in ids if _REGISTRY[c].kind != "bound"}
     bound = [c for c in ids if c not in items]
-    facts = _Facts(budget if budget is not None else DEFAULT_NODE_BUDGET)
+    every_relabeling = bool(bound) and specs[bound[0]].partition(":")[0].strip() == "all-connected"
+    facts = _Facts(budget if budget is not None else DEFAULT_NODE_BUDGET, every_relabeling)
     # per check id: its verdicts, the number of items checked, and notes
     found: dict[str, tuple[list[Verdict], int, str | None]] = {}
     if bound:

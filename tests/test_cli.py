@@ -265,6 +265,20 @@ def test_verify_rejects_a_wrong_corpus_kind_before_any_search(capsys, monkeypatc
     assert searched == []
 
 
+def test_verify_rejects_all_connected_above_order_7(capsys, monkeypatch):
+    # order 8 alone has 251,548,592 labeled connected graphs; its orbit marks
+    # would take 2**28 entries, so the order is an input error before any search
+    import symlab.verifier as verifier
+
+    def no_search(*args):
+        raise AssertionError("searched a graph")
+
+    monkeypatch.setattr(verifier, "canonical_form", no_search)
+    code, out, err = run(capsys, "verify", "--suite", "Prop2.2", "--corpus", "all-connected:8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "order" in err and "file:" in err
+
+
 def test_verify_malformed_corpus_file_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text("Bg\n!!!\nA_\n")

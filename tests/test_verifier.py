@@ -193,6 +193,61 @@ def test_jobs_do_not_change_reports():
     assert all(r.graphs_checked == 772 for r in one)
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_all_connected_pass_searches_each_class_once(monkeypatch):
+    # the 772 graphs of order <= 5 fall into 31 classes; every later labeled
+    # copy reads its class key from the orbit marks
+    import symlab.verifier as verifier
+    searched = _count_calls(monkeypatch, verifier, "canonical_form")
+    [report] = run_suite(["Prop2.2"], corpus_override="all-connected:<=5")
+    assert (report.status, report.graphs_checked) == ("verified", 772)
+    assert len(searched) == 31
+
+
+def test_orbit_marks_match_canonical_form():
+    # the key of every labeled graph equals its own canonical search, and each
+    # order's marks cover exactly its labeled connected graphs
+    import symlab.verifier as verifier
+    from symlab.aut import canonical_form
+    facts = verifier._Facts(10**6, every_relabeling=True)
+    for g in corpus("all-connected:<=5"):
+        assert facts.class_key(g) == canonical_form(g)
+    marked = {n: {mask for mask, slot in enumerate(facts.marks(n).table) if slot}
+              for n in range(1, 6)}
+    assert {n: len(masks) for n, masks in marked.items()} == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
+    for n, masks in marked.items():
+        assert masks == {facts.marks(n).mask(g) for g in corpus(f"all-connected:{n}")}
+
+
+def test_file_corpus_searches_every_graph(monkeypatch, tmp_path):
+    # a file need not hold every relabeling, so each graph gets its own
+    # canonical search; the relabeled copy still reuses the first graph's row
+    import symlab.verifier as verifier
+    from symlab.graphs import emit_graph6, path
+    g = path(4)
+    copy = _oracles.relabeled(g, (1, 0, 3, 2))
+    assert copy != g
+    f = tmp_path / "two.g6"
+    f.write_text(f"{emit_graph6(g)}\n{emit_graph6(copy)}\n")
+    searched = _count_calls(monkeypatch, verifier, "canonical_form")
+    judged = _count_calls(monkeypatch, verifier, "invariant_report")
+    [report] = run_suite(["Prop2.2"], corpus_override=f"file:{f}")
+    assert (report.status, report.graphs_checked) == ("verified", 2)
+    assert searched == [g, copy]
+    assert judged == [g]
+
+
 def test_bound_pass_builds_one_context_per_distinct_subgraph(monkeypatch):
     # The 772 graphs fall into 31 isomorphism classes; a class judged once
     # reuses its verdicts, so a run builds one context per class, one per
