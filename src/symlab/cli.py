@@ -2,8 +2,8 @@
 convert between graph formats.
 
 Exit codes: 0 success, 1 verification/witness failure (counterexample),
-2 usage or input error, 3 search budget exceeded.  ``SYMLAB_BUDGET`` sets
-the default node budget.
+2 usage or input error, 3 search budget exceeded or search too deep.
+``SYMLAB_BUDGET`` sets the default node budget.
 """
 
 from __future__ import annotations
@@ -246,6 +246,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return BUDGET_ERROR
+    except RecursionError:
+        # the searches recurse once per individualized vertex
+        print(f"error: search too deep: it passed Python's limit of "
+              f"{sys.getrecursionlimit()} frames", file=sys.stderr)
         return BUDGET_ERROR
 
 

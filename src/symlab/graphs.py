@@ -367,14 +367,19 @@ def emit_edge_list(g: Graph) -> str:
 # "corona:(path:3),(complete:2)" (corona parts may nest)
 # ---------------------------------------------------------------------------
 
+# the largest order a family spec may build
+MAX_FAMILY_ORDER = 1024
+
+# per kind: constructor, arity, and the order it builds, computed from the
+# parameters alone (a hypercube's capped at 2**11, past MAX_FAMILY_ORDER)
 _SIMPLE_KINDS = {
-    "complete": (complete, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "star": (star, 1),
-    "hypercube": (hypercube, 1),
-    "friendship": (friendship, 1),
+    "complete": (complete, 1, lambda n: n),
+    "complete_bipartite": (complete_bipartite, 2, lambda a, b: a + b),
+    "path": (path, 1, lambda n: n),
+    "cycle": (cycle, 1, lambda n: n),
+    "star": (star, 1, lambda n: n + 1),
+    "hypercube": (hypercube, 1, lambda k: 1 << min(max(k, 0), 11)),
+    "friendship": (friendship, 1, lambda n: 2 * n + 1),
 }
 
 
@@ -386,11 +391,21 @@ class FamilySpec:
     params: tuple[int, ...] = ()
     parts: tuple["FamilySpec", ...] = ()
 
+    def order(self) -> int:
+        """The order of the graph this spec builds, without building it."""
+        if self.kind == "corona":
+            g, h = (p.order() for p in self.parts)
+            return g * (1 + h)
+        return _SIMPLE_KINDS[self.kind][2](*self.params)
+
     def build(self) -> Graph:
+        if self.order() > MAX_FAMILY_ORDER:  # checked before anything is built
+            raise FamilySpecError(f"{self.to_string()} has order above the cap of "
+                                  f"{MAX_FAMILY_ORDER}")
         if self.kind == "corona":
             g, h = (p.build() for p in self.parts)
             return corona(g, h)
-        ctor, _ = _SIMPLE_KINDS[self.kind]
+        ctor, *_ = _SIMPLE_KINDS[self.kind]
         try:
             return ctor(*self.params)
         except GraphError as exc:
@@ -435,7 +450,7 @@ def parse_family_spec(text: str) -> FamilySpec:
         return FamilySpec("corona", (), (parse_family_spec(a), parse_family_spec(b)))
     if kind not in _SIMPLE_KINDS:
         raise FamilySpecError(f"unknown family kind {kind!r}")
-    _, arity = _SIMPLE_KINDS[kind]
+    _, arity, _ = _SIMPLE_KINDS[kind]
     fields = [p.strip() for p in rest.split(",")] if rest.strip() else []
     if len(fields) != arity:
         raise FamilySpecError(f"{kind} takes {arity} integer parameter(s), got {len(fields)}")

@@ -9,14 +9,14 @@ A check is one registry entry that carries its callable.  Bound checks get
 one verdict per graph of a shared corpus pass.  Every other check is called
 once with the items its corpus kind parses to (a range of friendship orders,
 (G, H) pairs, hypercube dimensions), all parsed before the first search; the
-per-item ones judge each item on its own.  The bound pass judges each
-isomorphism class once per run and hands its verdicts to the later labeled
-graphs of that class; over ``all-connected``, which holds every relabeling,
-the first canonical search of a class marks its whole orbit of edge masks,
-so a later copy needs no search at all.  Every other search (Cor2.6's
-induced subgraphs, the friendship graphs, corona factors and products,
-hypercubes) goes through one per-run memo that keeps one context, and so one
-budget, per labeled graph.
+per-item ones judge each item on its own.  Over ``all-connected``, which
+holds every relabeling, the S_n-orbit of a graph's edge mask is its
+isomorphism class: the bound pass marks an orbit whole on first sight,
+judges that class once per run, and hands its verdicts to every later copy,
+which searches nothing.  Over any other corpus it judges each graph on its
+own.  Every other search (Cor2.6's induced subgraphs, the friendship
+graphs, corona factors and products, hypercubes) goes through one per-run
+memo that keeps one context, and so one budget, per labeled graph.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import families
 from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET, PermGroup,
-                  automorphisms, brute_force_automorphisms, canonical_form,
-                  enumerate_elements, labeling_colors)
+                  automorphisms, brute_force_automorphisms, enumerate_elements,
+                  labeling_colors)
 from .graphs import (FamilySpec, FamilySpecError, Graph, Graph6Error, corona,
                      emit_graph6, friendship, from_edge_list, hypercube,
                      induced_subgraph, parse_family_spec, parse_graph6)
@@ -159,6 +159,23 @@ def _corpus_rest(corpus_spec: str, kind: str) -> str:
     return rest.strip()
 
 
+def _graph6_lines(path: str) -> list[str]:
+    """The graph6 lines of a corpus file, each parsed once to check it, so a
+    malformed line fails before the first graph is searched."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.strip() for line in fh.read().splitlines()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot read corpus file {path!r}: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        if line and line != ">>graph6<<":
+            try:
+                parse_graph6(line)
+            except Graph6Error as exc:
+                raise CorpusError(f"corpus file {path!r}, line {lineno}: {exc}") from exc
+    return [line for line in lines if line and line != ">>graph6<<"]
+
+
 def corpus(spec: str) -> Iterator[Graph]:
     """Stream the graphs described by a corpus spec.
 
@@ -181,19 +198,7 @@ def corpus(spec: str) -> Iterator[Graph]:
         for *_, prod in _corona_pairs(rest):
             yield prod
     elif kind == "file":
-        try:
-            with open(rest, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CorpusError(f"cannot read corpus file {rest!r}: {exc}") from exc
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if line and line != ">>graph6<<":
-                try:
-                    g = parse_graph6(line)
-                except Graph6Error as exc:
-                    raise CorpusError(f"corpus file {rest!r}, line {lineno}: {exc}") from exc
-                yield g
+        yield from map(parse_graph6, _graph6_lines(rest))
     else:
         raise CorpusError(f"unknown corpus kind {kind!r}")
 
@@ -203,7 +208,8 @@ def corpus(spec: str) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 
 # (hypothesis met, outcome, payload); outcome is "ok", "fail", "budget" or
-# "widened" (Thm1.1 verified through its constructive fallback)
+# "widened" (Thm1.1 verified through its constructive fallback), and only a
+# "fail" carries a payload
 Verdict = tuple[bool, str, dict | None]
 
 _OK: Verdict = (True, "ok", None)
@@ -252,58 +258,53 @@ def _aggregate(theorem_id: str, corpus_desc: str, verdicts: list[Verdict],
 # ---------------------------------------------------------------------------
 
 class _OrbitMarks:
-    """The class keys of the labeled graphs of one order, by edge mask.
+    """The verdict rows of the isomorphism classes of one order, by edge mask.
 
-    ``table[mask]`` is 0, or 1 plus the index in ``keys`` of the canonical
-    form of the graph with that edge mask (``_pairs`` order).  A mask is
-    marked with its whole S_n-orbit, found under (0 1) and (0 1 ... n-1),
-    which generate S_n."""
+    In a corpus that holds every relabeling, the S_n-orbit of an edge mask
+    (``_pairs`` order) is its graph's isomorphism class.  ``table[mask]`` is
+    0, or 1 plus the index in ``rows`` of the orbit of ``mask``.  An unmarked
+    mask starts a new orbit, marked whole under (0 1) and (0 1 ... n-1),
+    which generate S_n.  A row holds the class's verdicts, one per check id of
+    the run; it is None until the class has been judged in full, with no
+    budget overrun and no truncated search (notes/decisions.md)."""
 
     def __init__(self, n: int):
         pairs = _pairs(n)
         self.bit = {p: 1 << i for i, p in enumerate(pairs)}
         self.table = array("H", [0]) * (1 << len(pairs))
-        self.keys: list[tuple[int, ...]] = []
+        self.rows: list[list[Verdict] | None] = []
         gens = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
         # per generator, the image bit of each pair
         self.moves = [[self.bit[tuple(sorted((s[u], s[v])))] for u, v in pairs] for s in gens]
 
-    def mask(self, g: Graph) -> int:
-        return sum(self.bit[e] for e in g.edges())
-
-    def mark(self, mask: int, key: tuple[int, ...]) -> None:
-        """Mark the orbit of ``mask`` with ``key``, by breadth-first search."""
-        self.keys.append(key)
-        self.table[mask] = slot = len(self.keys)
-        frontier = [mask]
-        for mask in frontier:
-            for move in self.moves:
-                image = sum(b for i, b in enumerate(move) if mask >> i & 1)
-                if not self.table[image]:
-                    self.table[image] = slot
-                    frontier.append(image)
-
-
-# Per-run verdict cache, keyed by canonical form: the verdicts, one per check
-# id of the run, of the first graph of an isomorphism class.  Each verdict is
-# an isomorphism invariant (notes/decisions.md); a row is stored only when it
-# was computed in full, with no budget overrun and no truncated search.
-_Rows = dict[tuple[int, ...], list[Verdict]]
+    def orbit(self, g: Graph) -> int:
+        """The index in ``rows`` of the orbit of ``g``; an unmarked orbit is
+        marked by breadth-first search."""
+        mask = sum(self.bit[e] for e in g.edges())
+        if not self.table[mask]:
+            self.rows.append(None)
+            self.table[mask] = slot = len(self.rows)
+            frontier = [mask]
+            for seen in frontier:
+                for move in self.moves:
+                    image = sum(b for i, b in enumerate(move) if seen >> i & 1)
+                    if not self.table[image]:
+                        self.table[image] = slot
+                        frontier.append(image)
+        return self.table[mask] - 1
 
 
 class _Facts:
-    """What one run has computed, kept for that run only: the bound pass's
-    verdict rows, and per labeled graph (``Graph`` is hashable) one context,
-    and so one budget, with D, (rho, witness) and (det, witness) computed on
-    first use.  A value is stored only once it has been computed, so a budget
-    overrun leaves nothing behind; every later query on that graph charges
-    the same budget."""
+    """What one run has computed, kept for that run only: over a corpus that
+    holds every relabeling, the orbit marks of each order, and per labeled
+    graph (``Graph`` is hashable) one context, and so one budget, with D,
+    (rho, witness) and (det, witness) computed on first use.  A value is
+    stored only once it has been computed, so a budget overrun leaves nothing
+    behind; every later query on that graph charges the same budget."""
 
     def __init__(self, budget_cap: int, every_relabeling: bool):
         self.budget_cap = budget_cap
-        self.rows: _Rows = {}
-        # per order, the orbit marks of a corpus known to hold every
-        # relabeling of each of its graphs (all-connected); None otherwise
+        # per order, the orbit marks of an all-connected corpus; None otherwise
         self.marks = functools.cache(_OrbitMarks) if every_relabeling else None
         # the caches close over each other, not over self, so a run's facts
         # are freed by reference counting as soon as the run returns
@@ -311,22 +312,6 @@ class _Facts:
         d = self.d = functools.cache(lambda g: distinguishing_number(g, ctx=ctx(g))[0])
         self.rho = functools.cache(lambda g: cost(g, d=d(g), ctx=ctx(g)))
         self.det = functools.cache(lambda g: determining_number(g, ctx=ctx(g)))
-
-    def class_key(self, g: Graph) -> tuple[int, ...] | None:
-        """The canonical form of ``g``, or None if its search overran; with
-        marks, read from its orbit's mark, or searched and marked."""
-        marks = self.marks(g.n) if self.marks else None
-        if marks:
-            mask = marks.mask(g)
-            if marks.table[mask]:
-                return marks.keys[marks.table[mask] - 1]
-        try:
-            key = canonical_form(g, Budget(self.budget_cap))
-        except BudgetExceededError:
-            return None
-        if marks:
-            marks.mark(mask, key)
-        return key
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +328,6 @@ class _Case(NamedTuple):
     ctx: AutContext
     rep: InvariantReport
     mindets: list[tuple[int, ...]]  # minimum determining sets, if a check needs them
-    truncated: bool
     facts: _Facts
 
 
@@ -435,7 +419,7 @@ def _check_thm11(c: _Case) -> Verdict:
     if not subset_is_d_distinguishable(ctx.graph, union, labeling, ctx=ctx):
         return _fail(g6, "constructive witness set not (d-1)-distinguishable",
                      det_set=union, labels=labeling)
-    return (True, "widened", {"graph6": g6, "probed": len(c.mindets), "truncated": c.truncated})
+    return (True, "widened", None)
 
 
 def _check_cor26(c: _Case) -> Verdict:
@@ -479,27 +463,27 @@ def _check_engine_oracle(c: _Case) -> Verdict:
 
 
 def _graph_verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts) -> list[Verdict]:
-    """One verdict per check id for the corpus graph at ``index``.  A graph
-    whose isomorphism class already has a row in ``facts.rows`` reuses it,
-    except for EngineOracle, which is judged per labeled graph."""
-    budget_cap = facts.budget_cap
-    key = facts.class_key(g)
-    row = facts.rows.get(key)
+    """One verdict per check id for the corpus graph at ``index``.  A marked
+    graph whose class has a row reuses it, except for EngineOracle, which is
+    judged per labeled graph; every other graph is judged on its own."""
+    marks = facts.marks(g.n) if facts.marks else None
+    orbit = marks.orbit(g) if marks else None
+    row = marks.rows[orbit] if marks else None
     if row is not None:
-        group = functools.partial(automorphisms, g, budget=Budget(budget_cap))
+        group = functools.partial(automorphisms, g, budget=Budget(facts.budget_cap))
         return [_judged(_engine_oracle, index, g, group) if check == "EngineOracle" else v
                 for check, v in zip(ids, row)]
     try:
-        ctx = AutContext(g, Budget(budget_cap))
+        ctx = AutContext(g, Budget(facts.budget_cap))
         rep = invariant_report(g, ctx=ctx)
         mindets, truncated = (minimum_determining_sets(g, ctx=ctx)
                               if "Thm1.1" in ids or "Cor2.6" in ids else ([], False))
-        case = _Case(index, g, ctx, rep, mindets, truncated, facts)
+        case = _Case(index, g, ctx, rep, mindets, facts)
         row = [_REGISTRY[check].run(case) for check in ids]
     except BudgetExceededError:
         return [_BUDGET] * len(ids)
-    if key is not None and not truncated:
-        facts.rows[key] = row
+    if marks and not truncated:
+        marks.rows[orbit] = row
     return row
 
 

@@ -75,6 +75,27 @@ def test_compute_budget_bounds_every_colored_query(capsys):
     assert "budget of 30 nodes exhausted" in err and "Traceback" not in err
 
 
+def test_deep_search_is_an_error_not_a_traceback(capsys, tmp_path):
+    # the group search recurses once per vertex it individualizes, so on
+    # star:1000 it passes Python's frame limit before the budget runs out
+    from symlab.graphs import emit_graph6, star
+    corpus = tmp_path / "star.g6"
+    corpus.write_text(emit_graph6(star(1000)) + "\n")
+    for argv in (("compute", "--family", "star:1000"),
+                 ("verify", "--suite", "Prop2.2", "--corpus", f"file:{corpus}")):
+        code, out, err = run(capsys, *argv, "--budget", "5000")
+        assert code == 3 and out == ""
+        assert err.startswith("error: search too deep") and "Traceback" not in err
+
+
+def test_compute_rejects_family_orders_above_the_cap(capsys):
+    # the order comes from the spec's parameters, before anything is built
+    for spec in ("hypercube:11", "corona:(complete:40),(complete:40)"):
+        code, out, err = run(capsys, "compute", "--family", spec, "--budget", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "1024" in err
+
+
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("SYMLAB_BUDGET", "5")
     code, _, _ = run(capsys, "compute", "--family", "friendship:8", "--invariant", "D")
@@ -245,41 +266,25 @@ def test_verify_hypercube_dimensions_are_judged_one_by_one(capsys):
     assert report["notes"] == "computed costs {3: 1} (informative check)"
 
 
-def test_verify_rejects_a_wrong_corpus_kind_before_any_search(capsys, monkeypatch):
+def test_verify_rejects_a_wrong_corpus_kind_before_any_search(capsys, no_search):
     # a non-bound check whose corpus has the wrong kind fails before the
     # bound pass starts, not after it
-    import symlab.verifier as verifier
-
-    searched = []
-    canonical_form = verifier.canonical_form
-
-    def counted(*args):
-        searched.append(args[0])
-        return canonical_form(*args)
-
-    monkeypatch.setattr(verifier, "canonical_form", counted)
     for suite in ("Prop2.2,Thm3.1", "Prop2.2,HypercubeCost", "Prop2.2,Thm4.1"):
         code, out, err = run(capsys, "verify", "--suite", suite, "--corpus", "all-connected:<=4")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "corpus" in err
-    assert searched == []
 
 
-def test_verify_rejects_all_connected_above_order_7(capsys, monkeypatch):
+def test_verify_rejects_all_connected_above_order_7(capsys, no_search):
     # order 8 alone has 251,548,592 labeled connected graphs; its orbit marks
     # would take 2**28 entries, so the order is an input error before any search
-    import symlab.verifier as verifier
-
-    def no_search(*args):
-        raise AssertionError("searched a graph")
-
-    monkeypatch.setattr(verifier, "canonical_form", no_search)
     code, out, err = run(capsys, "verify", "--suite", "Prop2.2", "--corpus", "all-connected:8")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "order" in err and "file:" in err
 
 
-def test_verify_malformed_corpus_file_is_usage_error(capsys, tmp_path):
+def test_verify_malformed_corpus_file_is_usage_error(capsys, tmp_path, no_search):
+    # every line is parsed before the first graph is searched
     bad = tmp_path / "bad.g6"
     bad.write_text("Bg\n!!!\nA_\n")
     for jobs in ("1", "2"):

@@ -224,7 +224,7 @@ def test_family_spec_round_trip():
                  "corona:(corona:(path:2),(complete:1)),(cycle:3)"]:
         spec = parse_family_spec(text)
         assert spec.to_string() == text
-        assert spec.build().n >= 1
+        assert spec.build().n == spec.order() >= 1
 
 
 def test_family_spec_builds_expected_graphs():
@@ -238,6 +238,18 @@ def test_family_spec_errors():
     for bad in ["nope:3", "complete", "complete:x", "complete:1,2",
                 "corona:(path:3)", "corona:path:3,(complete:2)", "friendship:1"]:
         with pytest.raises(FamilySpecError):
+            build_family(bad)
+
+
+def test_family_spec_order_cap():
+    # the largest orders the cap allows still build; above it, the order is
+    # computed from the parameters and nothing is built
+    assert build_family("hypercube:10").n == build_family("complete:1024").n == 1024
+    assert build_family("star:1000").n == 1001
+    assert parse_family_spec("hypercube:40").order() > 1024
+    for bad in ["hypercube:11", "path:1025", "corona:(complete:40),(complete:40)",
+                "corona:(path:2),(hypercube:11)"]:
+        with pytest.raises(FamilySpecError, match="1024"):
             build_family(bad)
 
 

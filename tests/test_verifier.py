@@ -1,6 +1,5 @@
 import gc
 import json
-import random
 import weakref
 from pathlib import Path
 
@@ -137,24 +136,14 @@ def test_corpus_kind_mismatch_rejected():
         run_check("Thm3.1", "friendship:1..3")
 
 
-def test_check_corpus_rules_hold_before_any_search(monkeypatch):
+def test_check_corpus_rules_hold_before_any_search(no_search):
     # Rem3.2's and Thm4.2's own corpus rules are part of their kinds' parsers,
     # so a suite that breaks one exits before the bound pass searches a graph
-    import symlab.verifier as verifier
-    calls = []
-    canonical_form = verifier.canonical_form
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return canonical_form(*args, **kwargs)
-
-    monkeypatch.setattr(verifier, "canonical_form", counted)
     with pytest.raises(CorpusError, match="start at 2"):
         run_suite(["Prop2.2", "Rem3.2"], corpus_override="friendship:3..7")
     with pytest.raises(CorpusError, match="second factor to be complete:1"):
         run_suite(["Prop2.2", "Thm4.2"],
                   corpus_override="corona-pairs:(path:3),(complete:1);(path:3),(path:2)")
-    assert calls == []
 
 
 def test_budget_exceeded_status():
@@ -207,32 +196,30 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 
 def test_all_connected_pass_searches_each_class_once(monkeypatch):
     # the 772 graphs of order <= 5 fall into 31 classes; every later labeled
-    # copy reads its class key from the orbit marks
+    # copy reads its class's row from the orbit marks
     import symlab.verifier as verifier
-    searched = _count_calls(monkeypatch, verifier, "canonical_form")
+    judged = _count_calls(monkeypatch, verifier, "invariant_report")
     [report] = run_suite(["Prop2.2"], corpus_override="all-connected:<=5")
     assert (report.status, report.graphs_checked) == ("verified", 772)
-    assert len(searched) == 31
+    assert len(judged) == 31
 
 
 def test_orbit_marks_match_canonical_form():
-    # the key of every labeled graph equals its own canonical search, and each
-    # order's marks cover exactly its labeled connected graphs
+    # two labeled graphs share an orbit iff their canonical forms agree, and
+    # each order's marks cover exactly its labeled connected graphs
     import symlab.verifier as verifier
     from symlab.aut import canonical_form
     facts = verifier._Facts(10**6, every_relabeling=True)
-    for g in corpus("all-connected:<=5"):
-        assert facts.class_key(g) == canonical_form(g)
-    marked = {n: {mask for mask, slot in enumerate(facts.marks(n).table) if slot}
-              for n in range(1, 6)}
-    assert {n: len(masks) for n, masks in marked.items()} == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
-    for n, masks in marked.items():
-        assert masks == {facts.marks(n).mask(g) for g in corpus(f"all-connected:{n}")}
+    pairs = {(canonical_form(g), (g.n, facts.marks(g.n).orbit(g)))
+             for g in corpus("all-connected:<=5")}
+    assert len(pairs) == len({key for key, _ in pairs}) == len({o for _, o in pairs}) == 31
+    marked = {n: sum(1 for slot in facts.marks(n).table if slot) for n in range(1, 6)}
+    assert marked == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 
 
 def test_file_corpus_searches_every_graph(monkeypatch, tmp_path):
-    # a file need not hold every relabeling, so each graph gets its own
-    # canonical search; the relabeled copy still reuses the first graph's row
+    # a file need not hold every relabeling, so each graph is judged on its
+    # own, a relabeled copy of an earlier graph included
     import symlab.verifier as verifier
     from symlab.graphs import emit_graph6, path
     g = path(4)
@@ -240,12 +227,10 @@ def test_file_corpus_searches_every_graph(monkeypatch, tmp_path):
     assert copy != g
     f = tmp_path / "two.g6"
     f.write_text(f"{emit_graph6(g)}\n{emit_graph6(copy)}\n")
-    searched = _count_calls(monkeypatch, verifier, "canonical_form")
     judged = _count_calls(monkeypatch, verifier, "invariant_report")
     [report] = run_suite(["Prop2.2"], corpus_override=f"file:{f}")
     assert (report.status, report.graphs_checked) == ("verified", 2)
-    assert searched == [g, copy]
-    assert judged == [g]
+    assert judged == [g, copy]
 
 
 def test_bound_pass_builds_one_context_per_distinct_subgraph(monkeypatch):
@@ -352,46 +337,22 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
 
 
 def test_cached_verdicts_equal_uncached(tmp_path):
-    # Each bound verdict is an isomorphism invariant, so a corpus that repeats
-    # isomorphism classes, and so reuses cached verdicts, reports what its
-    # graphs report one by one: a one-graph corpus never hits the cache.  The
-    # double star takes Thm1.1's widened path; EngineOracle is judged per
-    # index, including index 100, a cache hit.
+    # Each bound verdict is an isomorphism invariant, so the all-connected
+    # pass, which judges each class once, reports what a file of the same
+    # graphs in the same order reports when each graph is judged on its own,
+    # EngineOracle's sampled indices included
     import symlab as sl
-    classes = [sl.parse_graph6("Eia?"), sl.path(4), sl.cycle(5), sl.star(4),
-               sl.complete(4), sl.friendship(2), sl.complete_bipartite(2, 3),
-               sl.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])]
-    rng = random.Random(9)
-    graphs = []
-    for _ in range(13):
-        for g in classes:
-            sigma = list(range(g.n))
-            rng.shuffle(sigma)
-            graphs.append(_oracles.relabeled(g, sigma))
-    assert len(graphs) == 104
-    whole_file = tmp_path / "whole.g6"
-    whole_file.write_text("".join(sl.emit_graph6(g) + "\n" for g in graphs))
-    whole = run_suite(_BOUND_CHECKS, corpus_override=f"file:{whole_file}")
-    singles = []
-    for i, g in enumerate(graphs):
-        one = tmp_path / f"one{i}.g6"
-        one.write_text(sl.emit_graph6(g) + "\n")
-        singles.append(run_suite(_BOUND_CHECKS, corpus_override=f"file:{one}"))
+    spec = "all-connected:<=5"
+    f = tmp_path / "le5.g6"
+    f.write_text("".join(sl.emit_graph6(g) + "\n" for g in corpus(spec)))
+    cached = run_suite(_BOUND_CHECKS, corpus_override=spec)
+    uncached = run_suite(_BOUND_CHECKS, corpus_override=f"file:{f}")
 
-    def widened(notes):
-        return int(notes.split()[1]) if notes else 0
+    def fields(reports):
+        return [{**r.to_dict(), "corpus": None} for r in reports]
 
-    for i, rep in enumerate(whole):
-        parts = [reports[i] for reports in singles]
-        assert rep.graphs_checked == sum(r.graphs_checked for r in parts) == 104
-        assert {r.status for r in parts} <= {"verified", "hypothesis-never-met"}
-        if rep.theorem_id == "EngineOracle":
-            assert (rep.status, rep.hypothesis_met) == ("verified", 2)  # indices 0 and 100
-            continue
-        assert rep.hypothesis_met == sum(r.hypothesis_met for r in parts)
-        assert rep.status == ("verified" if rep.hypothesis_met else "hypothesis-never-met")
-        assert widened(rep.notes) == sum(widened(r.notes) for r in parts)
-    assert widened(whole[0].notes) == 13  # every copy of the double star
+    assert fields(cached) == fields(uncached)
+    assert all(r.graphs_checked == 772 for r in cached)
 
 
 def test_thm11_widening_is_used(tmp_path):
@@ -418,16 +379,10 @@ def test_registry_lists_all_checks():
     assert len(ids) == len(set(ids))
 
 
-def test_every_default_corpus_parses_without_search(monkeypatch):
+def test_every_default_corpus_parses_without_search(no_search):
     # each non-bound kind has one parser, and each default corpus parses,
     # with no search, into as many items as the default suite reports checked
     import symlab.verifier as verifier
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("parsing a corpus must not search")
-
-    monkeypatch.setattr(verifier, "AutContext", no_search)
-    monkeypatch.setattr(verifier, "canonical_form", no_search)
     golden = json.loads((Path(__file__).parent / "data" / "verify_default.json").read_text())
     checked = {r["theorem_id"]: r["graphs_checked"] for r in golden}
     sizes = [len(verifier._ITEMS[c.kind](c.default_corpus))
