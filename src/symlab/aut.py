@@ -425,15 +425,39 @@ def enumerate_elements(group: PermGroup) -> Iterator[Perm]:
 
 def brute_force_automorphisms(g: Graph, colors: Sequence[int] | None = None,
                               max_order: int = 8) -> list[Perm]:
-    """Oracle: filter all n! permutations for adjacency and color preservation.
+    """Oracle: every adjacency- and color-preserving permutation, in
+    lexicographic order, built vertex by vertex.
 
-    Independent of the refinement search (it shares only the preservation
-    test with the engine's leaf check); only sensible for g.n <= max_order.
+    The map of vertices 0..v-1 is extended to v by each unused image of v's
+    degree and color that is adjacent to exactly the images of v's earlier
+    neighbors.  Independent of the refinement search: no refinement, no
+    individualization, no orbit pruning; only sensible for g.n <= max_order.
     """
     if g.n > max_order:
         raise ValueError(f"brute force limited to order {max_order}, got {g.n}")
-    colors, bits = _color_key(g.n, colors), g.adj_bits
-    return [s for s in itertools.permutations(range(g.n)) if _is_automorphism(bits, colors, s)]
+    n, bits = g.n, g.adj_bits
+    key = [(c, len(s)) for c, s in zip(_color_key(n, colors), g.adj)]
+    found: list[Perm] = []
+    image: list[int] = []
+
+    def extend(v: int, used: int) -> None:
+        if v == n:
+            found.append(tuple(image))
+            return
+        # the images of v's neighbors among 0..v-1
+        want, m = 0, bits[v] & ((1 << v) - 1)
+        while m:
+            b = m & -m
+            want |= 1 << image[b.bit_length() - 1]
+            m ^= b
+        for s in range(n):
+            if not used >> s & 1 and key[s] == key[v] and bits[s] & used == want:
+                image.append(s)
+                extend(v + 1, used | 1 << s)
+                image.pop()
+
+    extend(0, 0)
+    return found
 
 
 def canonical_form(g: Graph, budget: Budget | None = None) -> tuple[int, ...]:

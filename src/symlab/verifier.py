@@ -9,18 +9,25 @@ A check is one registry entry that carries its callable.  Bound checks get
 one verdict per graph of a shared corpus pass.  Every other check is called
 once with the items its corpus kind parses to (a range of friendship orders,
 (G, H) pairs, hypercube dimensions), all parsed before the first search; the
-per-item ones judge each item on its own.  Over ``all-connected``, which
-holds every relabeling, the S_n-orbit of a graph's edge mask is its
-isomorphism class: the bound pass marks an orbit whole on first sight,
-judges that class once per run, and hands its verdicts to every later copy,
-which searches nothing.  Over any other corpus it judges each graph on its
-own.  Every other search (Cor2.6's induced subgraphs, the friendship
-graphs, corona factors and products, hypercubes) goes through one per-run
-memo that keeps one context, and so one budget, per labeled graph.
+per-item ones judge each item on its own.  Each check's verdicts are
+tallied as they come: the hypothesis count, the first counterexample, any
+budget overrun and the count of widened verdicts.  Over ``all-connected``,
+which holds every relabeling, the bound pass streams edge masks, not
+graphs: the S_n-orbit of a mask is its graph's isomorphism class, each
+orbit is marked whole on first sight, and a graph is built only for the
+first mask of a class, for an EngineOracle sample, or for a copy of a class
+that has no verdict row yet.  Each class is judged once per run and hands
+its verdicts to every later copy, which searches nothing; with ``--jobs``
+this process streams and marks, and the pool judges the classes and
+samples.  Over any other corpus each graph is judged on its own.  Every
+other search (Cor2.6's induced subgraphs, the friendship graphs, corona
+factors and products, hypercubes) goes through one per-run memo that keeps
+one context, and so one budget, per labeled graph.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -29,7 +36,7 @@ import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import families
 from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET, PermGroup,
@@ -90,14 +97,80 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
+def _mask_graph(n: int, mask: int) -> Graph:
+    """The graph of order n whose edges are the pairs set in ``mask``."""
+    return from_edge_list(n, [p for i, p in enumerate(_pairs(n)) if mask >> i & 1])
+
+
+# the table value of every mask of a disconnected orbit
+_DISCONNECTED = 0xFFFF
+
+
+class _OrbitMarks:
+    """The isomorphism classes of one order n <= 7, by edge mask.
+
+    The S_n-orbit of an edge mask (``_pairs`` order) is its graph's
+    isomorphism class.  ``table[mask]`` is 0 until the orbit of ``mask`` is
+    met, then 1 plus the orbit's slot, or ``_DISCONNECTED``: connectivity is
+    a class invariant, so one graph tells it for the whole orbit.  A new
+    orbit is marked whole by breadth-first search under (0 1) and
+    (0 1 ... n-1), which generate S_n.  Per connected slot, ``sizes`` holds
+    the orbit's size and ``rows`` the class's verdict row with the index of
+    the graph that computed it, None until the class has been judged in
+    full, with no budget overrun and no truncated search
+    (notes/decisions.md)."""
+
+    def __init__(self, n: int):
+        pairs = _pairs(n)
+        bit = {p: 1 << i for i, p in enumerate(pairs)}
+        self.n = n
+        self.table = array("H", [0]) * (1 << len(pairs))
+        self.sizes: list[int] = []
+        self.rows: list[tuple[int, list[Verdict]] | None] = []
+        gens = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
+        # per generator and per byte of a mask (at most 21 bits), the image
+        # of each byte value
+        self.moves = []
+        for s in gens:
+            image = [bit[tuple(sorted((s[u], s[v])))] for u, v in pairs] + [0] * (24 - len(pairs))
+            self.moves.append([[sum(image[8 * k + i] for i in range(8) if value >> i & 1)
+                                for value in range(256)] for k in range(3)])
+
+    def _mark(self, mask: int, value: int) -> int:
+        """Mark the orbit of ``mask`` with ``value``; returns its size."""
+        table = self.table
+        table[mask] = value
+        frontier = [mask]
+        for seen in frontier:
+            for lo, mid, hi in self.moves:
+                image = lo[seen & 255] | mid[seen >> 8 & 255] | hi[seen >> 16]
+                if not table[image]:
+                    table[image] = value
+                    frontier.append(image)
+        return len(frontier)
+
+    def stream(self) -> Iterator[tuple[int, int, Graph | None]]:
+        """Each connected mask in index order with its slot, and the graph of
+        each newly met orbit's first mask (None for every later mask)."""
+        table = self.table
+        for mask in range(len(table)):
+            slot = table[mask]
+            if not slot:
+                g = _mask_graph(self.n, mask)
+                if not g.is_connected():
+                    self._mark(mask, _DISCONNECTED)
+                    continue
+                self.rows.append(None)
+                self.sizes.append(self._mark(mask, len(self.rows)))
+                yield mask, len(self.rows) - 1, g
+            elif slot != _DISCONNECTED:
+                yield mask, slot - 1, None
+
+
 def _connected_exact(n: int) -> Iterator[Graph]:
-    """Every labeled connected graph on exactly n vertices, by edge mask."""
-    pairs = _pairs(n)
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        g = from_edge_list(n, edges)
-        if g.is_connected():
-            yield g
+    """Every labeled connected graph on exactly n <= 7 vertices, by edge mask."""
+    for mask, _, g in _OrbitMarks(n).stream():
+        yield g or _mask_graph(n, mask)
 
 
 def _connected_orders(text: str) -> range:
@@ -234,22 +307,46 @@ def _judged(run: Callable[..., Verdict], *args) -> Verdict:
         return _BUDGET
 
 
-def _aggregate(theorem_id: str, corpus_desc: str, verdicts: list[Verdict],
-               checked: int, notes: str | None, informative: bool) -> TheoremReport:
-    hyp = sum(1 for h, _, _ in verdicts if h)
-    fail = next((v for v in verdicts if v[1] == "fail"), None)
-    if fail is not None:
-        status, payload = "counterexample", fail[2]
-    elif any(v[1] == "budget" for v in verdicts):
+class _Tally:
+    """One check's verdicts so far: how many met the hypothesis, the first
+    counterexample by corpus index, whether a budget ran out, and how many
+    were verified through Thm1.1's constructive fallback."""
+
+    def __init__(self):
+        self.hyp = self.widened = 0
+        self.fail: tuple[int, dict] | None = None
+        self.budget = False
+
+    def add(self, verdict: Verdict, index: int, times: int = 1) -> None:
+        """Count ``verdict`` for ``times`` graphs, the first at ``index``."""
+        met, outcome, payload = verdict
+        self.hyp += met * times
+        if outcome == "fail" and (self.fail is None or index < self.fail[0]):
+            self.fail = (index, payload)
+        self.budget |= outcome == "budget"
+        self.widened += (outcome == "widened") * times
+
+    @classmethod
+    def of(cls, verdicts: Sequence[Verdict]) -> _Tally:
+        tally = cls()
+        for index, v in enumerate(verdicts):
+            tally.add(v, index)
+        return tally
+
+
+def _aggregate(theorem_id: str, corpus_desc: str, tally: _Tally, checked: int,
+               notes: str | None, informative: bool) -> TheoremReport:
+    if tally.fail is not None:
+        status, payload = "counterexample", tally.fail[1]
+    elif tally.budget:
         status, payload = "budget-exceeded", None
     else:
-        widened = sum(1 for v in verdicts if v[1] == "widened")
-        if widened:
-            extra = (f"on {widened} graph(s) no minimum determining set qualified; "
+        if tally.widened:
+            extra = (f"on {tally.widened} graph(s) no minimum determining set qualified; "
                      f"verified through a larger constructive witness set")
             notes = f"{notes}; {extra}" if notes else extra
-        status, payload = ("verified" if hyp else "hypothesis-never-met"), None
-    return TheoremReport(theorem_id, corpus_desc, checked, hyp, status, payload, notes,
+        status, payload = ("verified" if tally.hyp else "hypothesis-never-met"), None
+    return TheoremReport(theorem_id, corpus_desc, checked, tally.hyp, status, payload, notes,
                          informative)
 
 
@@ -257,55 +354,15 @@ def _aggregate(theorem_id: str, corpus_desc: str, verdicts: list[Verdict],
 # per-run facts: one memo for the searches of every check
 # ---------------------------------------------------------------------------
 
-class _OrbitMarks:
-    """The verdict rows of the isomorphism classes of one order, by edge mask.
-
-    In a corpus that holds every relabeling, the S_n-orbit of an edge mask
-    (``_pairs`` order) is its graph's isomorphism class.  ``table[mask]`` is
-    0, or 1 plus the index in ``rows`` of the orbit of ``mask``.  An unmarked
-    mask starts a new orbit, marked whole under (0 1) and (0 1 ... n-1),
-    which generate S_n.  A row holds the class's verdicts, one per check id of
-    the run; it is None until the class has been judged in full, with no
-    budget overrun and no truncated search (notes/decisions.md)."""
-
-    def __init__(self, n: int):
-        pairs = _pairs(n)
-        self.bit = {p: 1 << i for i, p in enumerate(pairs)}
-        self.table = array("H", [0]) * (1 << len(pairs))
-        self.rows: list[list[Verdict] | None] = []
-        gens = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
-        # per generator, the image bit of each pair
-        self.moves = [[self.bit[tuple(sorted((s[u], s[v])))] for u, v in pairs] for s in gens]
-
-    def orbit(self, g: Graph) -> int:
-        """The index in ``rows`` of the orbit of ``g``; an unmarked orbit is
-        marked by breadth-first search."""
-        mask = sum(self.bit[e] for e in g.edges())
-        if not self.table[mask]:
-            self.rows.append(None)
-            self.table[mask] = slot = len(self.rows)
-            frontier = [mask]
-            for seen in frontier:
-                for move in self.moves:
-                    image = sum(b for i, b in enumerate(move) if seen >> i & 1)
-                    if not self.table[image]:
-                        self.table[image] = slot
-                        frontier.append(image)
-        return self.table[mask] - 1
-
-
 class _Facts:
-    """What one run has computed, kept for that run only: over a corpus that
-    holds every relabeling, the orbit marks of each order, and per labeled
-    graph (``Graph`` is hashable) one context, and so one budget, with D,
+    """What one run has computed, kept for that run only: per labeled graph
+    (``Graph`` is hashable) one context, and so one budget, with D,
     (rho, witness) and (det, witness) computed on first use.  A value is
     stored only once it has been computed, so a budget overrun leaves nothing
     behind; every later query on that graph charges the same budget."""
 
-    def __init__(self, budget_cap: int, every_relabeling: bool):
+    def __init__(self, budget_cap: int):
         self.budget_cap = budget_cap
-        # per order, the orbit marks of an all-connected corpus; None otherwise
-        self.marks = functools.cache(_OrbitMarks) if every_relabeling else None
         # the caches close over each other, not over self, so a run's facts
         # are freed by reference counting as soon as the run returns
         ctx = self.ctx = functools.cache(lambda g: AutContext(g, Budget(budget_cap)))
@@ -462,65 +519,149 @@ def _check_engine_oracle(c: _Case) -> Verdict:
     return _engine_oracle(c.index, c.graph, lambda: c.ctx.full)
 
 
-def _graph_verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts) -> list[Verdict]:
-    """One verdict per check id for the corpus graph at ``index``.  A marked
-    graph whose class has a row reuses it, except for EngineOracle, which is
-    judged per labeled graph; every other graph is judged on its own."""
-    marks = facts.marks(g.n) if facts.marks else None
-    orbit = marks.orbit(g) if marks else None
-    row = marks.rows[orbit] if marks else None
-    if row is not None:
+def _verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts,
+              oracle_only: bool = False) -> tuple[list[Verdict], bool]:
+    """One verdict per check id for the corpus graph at ``index``, and
+    whether they may stand for its class: no budget overrun and no truncated
+    search.  With ``oracle_only``, EngineOracle's verdict alone, for a copy
+    whose class has a row."""
+    if oracle_only:
         group = functools.partial(automorphisms, g, budget=Budget(facts.budget_cap))
-        return [_judged(_engine_oracle, index, g, group) if check == "EngineOracle" else v
-                for check, v in zip(ids, row)]
+        return [_judged(_engine_oracle, index, g, group)], True
     try:
         ctx = AutContext(g, Budget(facts.budget_cap))
         rep = invariant_report(g, ctx=ctx)
         mindets, truncated = (minimum_determining_sets(g, ctx=ctx)
                               if "Thm1.1" in ids or "Cor2.6" in ids else ([], False))
         case = _Case(index, g, ctx, rep, mindets, facts)
-        row = [_REGISTRY[check].run(case) for check in ids]
+        return [_REGISTRY[check].run(case) for check in ids], not truncated
     except BudgetExceededError:
-        return [_BUDGET] * len(ids)
-    if marks and not truncated:
-        marks.rows[orbit] = row
-    return row
+        return [_BUDGET] * len(ids), False
 
+
+# a graph to judge: its corpus index, its class's slot in the orbit marks
+# (None outside all-connected), the graph, and whether only EngineOracle is
+# asked; judged, it becomes (index, slot, oracle only, verdicts, complete)
+_Job = tuple[int, int | None, Graph, bool]
+_Judged = tuple[int, int | None, bool, list[Verdict], bool]
 
 # the per-run facts of one pool worker, set by the pool's initializer; each
 # pool starts fresh workers, so they live for one run
 _worker_facts: _Facts | None = None
 
 
-def _init_worker(budget_cap: int, every_relabeling: bool) -> None:
+def _init_worker(budget_cap: int) -> None:
     global _worker_facts
-    _worker_facts = _Facts(budget_cap, every_relabeling)
+    _worker_facts = _Facts(budget_cap)
 
 
-def _bound_worker(args: tuple[int, str, tuple[str, ...]]) -> list[Verdict]:
-    index, g6, ids = args
-    return _graph_verdicts(index, parse_graph6(g6), ids, _worker_facts)
+def _bound_worker(task: tuple[int, int | None, str, tuple[str, ...], bool]) -> _Judged:
+    index, slot, g6, ids, oracle_only = task
+    return (index, slot, oracle_only,
+            *_verdicts(index, parse_graph6(g6), ids, _worker_facts, oracle_only))
+
+
+@contextlib.contextmanager
+def _judging(ids: tuple[str, ...], facts: _Facts,
+             jobs: int) -> Iterator[Callable[[Iterable[_Job]], Iterable[_Judged]]]:
+    """A function that judges jobs and yields them in order: in this process,
+    or in a pool of at most one worker per CPU that is sent graph6 text."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1:
+        yield lambda todo: ((i, slot, only, *_verdicts(i, g, ids, facts, only))
+                            for i, slot, g, only in todo)
+        return
+    with multiprocessing.Pool(workers, initializer=_init_worker,
+                              initargs=(facts.budget_cap,)) as pool:
+        yield lambda todo: pool.imap(
+            _bound_worker, [(i, slot, emit_graph6(g), ids, only) for i, slot, g, only in todo],
+            chunksize=8)
+
+
+def _order_pass(n: int, start: int, ids: tuple[str, ...], facts: _Facts,
+                tallies: list[_Tally], judge: Callable[[Iterable[_Job]], Iterable[_Judged]]) -> int:
+    """Tally the verdicts of the labeled connected graphs of order n, the
+    first at corpus index ``start``; returns how many there are.
+
+    This process streams the edge masks and marks their orbits; ``judge``
+    judges the first graph of each class and EngineOracle's sampled copies.
+    A class judged in full hands its row to every later copy.  The later
+    copies of any other class are then judged here in index order, until
+    one of them stores a row."""
+    marks = _OrbitMarks(n)
+    eo = ids.index("EngineOracle") if "EngineOracle" in ids else None
+
+    def sampled(index: int) -> bool:
+        return eo is not None and index % _ORACLE_SAMPLE_STRIDE == 0
+
+    def jobs() -> Iterator[_Job]:
+        for index, (mask, slot, g) in enumerate(marks.stream(), start):
+            if g is not None:
+                yield index, slot, g, False
+            elif sampled(index):
+                yield index, slot, _mask_graph(n, mask), True
+
+    def take(index: int, slot: int, oracle_only: bool, verdicts: list[Verdict],
+             complete: bool) -> None:
+        if not oracle_only:
+            for tally, v in zip(tallies, verdicts):
+                tally.add(v, index)
+            if complete:
+                marks.rows[slot] = (index, verdicts)
+        elif marks.rows[slot] is not None:  # otherwise the copy is judged in full below
+            tallies[eo].add(verdicts[0], index)
+
+    for judged in judge(jobs()):
+        take(*judged)
+    copies = [size - 1 for size in marks.sizes]
+    pending = {slot for slot, row in enumerate(marks.rows) if row is None}
+    if pending:
+        met: set[int] = set()
+        for index, (mask, slot, _) in enumerate(marks.stream(), start):
+            if slot not in pending:
+                continue
+            if slot not in met:  # the class's first graph, judged above
+                met.add(slot)
+                copies[slot] = 0
+            elif marks.rows[slot] is None:
+                take(index, slot, False, *_verdicts(index, _mask_graph(n, mask), ids, facts))
+            else:
+                copies[slot] += 1
+                if sampled(index):
+                    g = _mask_graph(n, mask)
+                    take(index, slot, True, *_verdicts(index, g, ids, facts, True))
+    # every copy not judged on its own reuses its class's row; its
+    # EngineOracle verdict is its own, tallied above or unmet
+    for slot, row in enumerate(marks.rows):
+        if row is not None and copies[slot]:
+            first, verdicts = row
+            for k, (tally, v) in enumerate(zip(tallies, verdicts)):
+                if k != eo:
+                    tally.add(v, first, copies[slot])
+    return sum(marks.sizes)
 
 
 def _run_bound_checks(ids: Sequence[str], corpus_spec: str, facts: _Facts,
-                      jobs: int) -> list[list[Verdict]]:
-    """Per check id its verdicts, one per corpus graph; the pool, if any, has
-    at most one worker per CPU."""
+                      jobs: int) -> tuple[list[_Tally], int]:
+    """Per check id its tally over the corpus, and the number of graphs.
+    Over ``all-connected`` each order's classes are judged once
+    (``_order_pass``); over any other corpus each graph is judged on its own."""
     ids = tuple(ids)
-    per_check: list[list[Verdict]] = [[] for _ in ids]
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        tasks = ((i, emit_graph6(g), ids) for i, g in enumerate(corpus(corpus_spec)))
-        with multiprocessing.Pool(workers, initializer=_init_worker,
-                                  initargs=(facts.budget_cap, bool(facts.marks))) as pool:
-            for row in pool.imap(_bound_worker, tasks, chunksize=64):
-                for verdicts, v in zip(per_check, row):
-                    verdicts.append(v)
-    else:
-        for i, g in enumerate(corpus(corpus_spec)):
-            for verdicts, v in zip(per_check, _graph_verdicts(i, g, ids, facts)):
-                verdicts.append(v)
-    return per_check
+    tallies = [_Tally() for _ in ids]
+    kind, _, rest = corpus_spec.partition(":")
+    orders = _connected_orders(rest.strip()) if kind.strip() == "all-connected" else None
+    checked = 0
+    with _judging(ids, facts, jobs) as judge:
+        if orders is not None:
+            for n in orders:
+                checked += _order_pass(n, checked, ids, facts, tallies, judge)
+            return tallies, checked
+        for index, _, _, verdicts, _ in judge((i, None, g, False)
+                                              for i, g in enumerate(corpus(corpus_spec))):
+            for tally, v in zip(tallies, verdicts):
+                tally.add(v, index)
+            checked += 1
+    return tallies, checked
 
 
 # ---------------------------------------------------------------------------
@@ -802,19 +943,18 @@ def run_suite(ids: Sequence[str] | None = None, corpus_override: str | None = No
     items = {c: _ITEMS[_REGISTRY[c].kind](specs[c])
              for c in ids if _REGISTRY[c].kind != "bound"}
     bound = [c for c in ids if c not in items]
-    every_relabeling = bool(bound) and specs[bound[0]].partition(":")[0].strip() == "all-connected"
-    facts = _Facts(budget if budget is not None else DEFAULT_NODE_BUDGET, every_relabeling)
-    # per check id: its verdicts, the number of items checked, and notes
-    found: dict[str, tuple[list[Verdict], int, str | None]] = {}
+    facts = _Facts(budget if budget is not None else DEFAULT_NODE_BUDGET)
+    # per check id: its tally, the number of items checked, and notes
+    found: dict[str, tuple[_Tally, int, str | None]] = {}
     if bound:
-        per_check = _run_bound_checks(bound, specs[bound[0]], facts, jobs)
-        found.update((c, (verdicts, len(verdicts), None)) for c, verdicts in zip(bound, per_check))
+        tallies, checked = _run_bound_checks(bound, specs[bound[0]], facts, jobs)
+        found.update((c, (tally, checked, None)) for c, tally in zip(bound, tallies))
     for check, got in items.items():
         try:
             verdicts, notes = _REGISTRY[check].run(got, facts)
         except BudgetExceededError:
             verdicts, notes = [_BUDGET], None
-        found[check] = verdicts, len(got), notes
+        found[check] = _Tally.of(verdicts), len(got), notes
     reports = {c: _aggregate(c, specs[c], *found[c], _REGISTRY[c].informative) for c in found}
     return [reports[c] for c in ids]
 

@@ -242,6 +242,30 @@ def test_brute_force_guard():
         brute_force_automorphisms(path(9))
 
 
+def test_brute_force_matches_permutation_filter_on_every_class():
+    # the backtracking oracle against the n! filter on each of the 143
+    # connected classes of order <= 6, as first met in the corpus and under
+    # one seeded relabeling
+    from symlab.verifier import _OrbitMarks
+    rng = random.Random(6)
+    firsts = [g for n in range(1, 7) for _, _, g in _OrbitMarks(n).stream() if g is not None]
+    assert len(firsts) == 143
+    for g in firsts:
+        sigma = list(range(g.n))
+        rng.shuffle(sigma)
+        for h in (g, _oracles.relabeled(g, sigma)):
+            assert brute_force_automorphisms(h) == _oracles.brute_aut(h)
+
+
+def test_brute_force_matches_permutation_filter_colored():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        g = _oracles.random_graph(rng, n, rng.random())
+        colors = [rng.randrange(3) for _ in range(n)]
+        assert brute_force_automorphisms(g, colors) == _oracles.brute_aut(g, colors)
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------

@@ -205,16 +205,33 @@ def test_all_connected_pass_searches_each_class_once(monkeypatch):
 
 
 def test_orbit_marks_match_canonical_form():
-    # two labeled graphs share an orbit iff their canonical forms agree, and
-    # each order's marks cover exactly its labeled connected graphs
+    # streaming every edge mask of order n <= 5 marks every mask; two
+    # connected masks share a slot iff their canonical forms agree, and each
+    # order's slots cover exactly its labeled connected graphs (disconnected
+    # orbits get the sentinel)
     import symlab.verifier as verifier
     from symlab.aut import canonical_form
-    facts = verifier._Facts(10**6, every_relabeling=True)
-    pairs = {(canonical_form(g), (g.n, facts.marks(g.n).orbit(g)))
-             for g in corpus("all-connected:<=5")}
+    pairs, marked = set(), {}
+    for n in range(1, 6):
+        marks = verifier._OrbitMarks(n)
+        pairs |= {(canonical_form(verifier._mask_graph(n, mask)), (n, slot))
+                  for mask, slot, _ in marks.stream()}
+        assert all(marks.table)
+        marked[n] = sum(1 for slot in marks.table if slot != verifier._DISCONNECTED)
+        assert sum(marks.sizes) == marked[n]
     assert len(pairs) == len({key for key, _ in pairs}) == len({o for _, o in pairs}) == 31
-    marked = {n: sum(1 for slot in facts.marks(n).table if slot) for n in range(1, 6)}
     assert marked == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
+
+
+def test_all_connected_pass_builds_graphs_per_class_and_sample(monkeypatch):
+    # a serial pass over the 1,099 edge masks of order <= 5 builds a graph
+    # for the first mask of each of the 52 orbits (31 connected) and for each
+    # of the 8 EngineOracle samples, and for no other mask
+    import symlab.verifier as verifier
+    built = _count_calls(monkeypatch, verifier, "from_edge_list")
+    reports = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5")
+    assert all(r.graphs_checked == 772 for r in reports)
+    assert len(built) <= 52 + 8
 
 
 def test_file_corpus_searches_every_graph(monkeypatch, tmp_path):
@@ -334,6 +351,12 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
     pooled = run_suite(["Prop2.2", "Cor2.6"], corpus_override="all-connected:<=4", jobs=10_000)
     assert sizes == [3]
     assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+    # under a tight budget some classes come back with no row, and this
+    # process judges their later copies in index order, as the serial path does
+    serial = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5", budget=200)
+    pooled = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5", budget=200, jobs=2)
+    assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+    assert all(r.status == "budget-exceeded" for r in serial)
 
 
 def test_cached_verdicts_equal_uncached(tmp_path):
