@@ -5,11 +5,19 @@ All three invariants reduce to colored-automorphism queries.  The labeling
 searches are complete backtracking with three prunes:
 
 * dead-end prune: a nontrivial automorphism that preserves the partial
-  labeling while fixing every unlabeled vertex survives any completion;
-* orbit prune: only the lexicographically least partial labeling in its
-  orbit under (a generator subset of) the symmetry group is expanded;
+  labeling while fixing every unlabeled vertex survives any completion.
+  Giving a vertex the label of one it can be swapped with is such a dead
+  end, and below the root the query is made only when the vertex just
+  labeled has a twin, which such an automorphism must map it onto;
+* orbit prune: a partial labeling is expanded only if no coset
+  representative of the stabilizer chain maps it to a lexicographically
+  smaller one;
 * shortcut: if the partial label classes plus "rest" already pin the graph
   rigid and a fresh label is available, the rest becomes one new class.
+
+The dead-end and shortcut queries first try the automorphisms that earlier
+queries found, in the same invariant's searches, and ask the engine only
+when none keeps the colors.
 
 Label names are canonicalized by first use, so label permutations are never
 re-explored.  The cost search tries, for each class size, the lex-least
@@ -38,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .aut import AutContext, Perm, invert, labeling_colors, pointwise_colors
+from .aut import AutContext, Perm, labeling_colors, pointwise_colors
 from .graphs import Graph, emit_graph6
 
 
@@ -47,58 +55,105 @@ from .graphs import Graph, emit_graph6
 # ---------------------------------------------------------------------------
 
 def _lex_tables(ctx: AutContext, fixed: frozenset[int]) -> list[Perm]:
-    """Group generators and their inverses, each once, that fix the
-    pre-assigned class ``fixed`` setwise; used for the orbit prune.  The set
-    is closed under inverses, so it is its own set of inverse tables."""
-    tables: list[Perm] = []
-    for gen in ctx.full.generators:
-        for p in (gen, invert(gen)):
-            if p not in tables and all(p[v] in fixed for v in fixed):
-                tables.append(p)
-    return tables
+    """Every non-identity coset representative in the full group's
+    transversals that fixes the pre-assigned class ``fixed`` setwise; used
+    for the orbit prune.  Representatives of one level differ at its base
+    point and fix every base point above it, so each is kept once."""
+    return [p for level in ctx.full.transversals for p in level[1:]
+            if all(p[v] in fixed for v in fixed)]
 
 
-def _lex_rejected(labels: list[int], placed: Sequence[int], tables: Sequence[Perm]) -> bool:
-    # Reject when some group element maps the partial labeling to a strictly
-    # lex-smaller one (unlabeled compares as +inf along the branch order).
-    for t in tables:
-        for q in placed:
-            a = labels[t[q]]
-            b = labels[q]
-            if a == b:
+def _lex_live(labels: list[int], order: list[int], start: int,
+              live: list[tuple[Perm, int]]) -> list[tuple[Perm, int]] | None:
+    """The orbit prune at the labels of order[:start]: None when a table of
+    ``live`` maps them to a strictly lex-smaller labeling along ``order``
+    (unlabeled compares as +inf), else the tables that still may reject
+    below, each with the first position where it does not yet compare equal.
+
+    ``live`` comes from the parent, whose labels this node keeps: positions
+    that compared equal with both ends labeled stay equal, and a table that
+    gave a larger labeling there gives a larger one in the whole subtree."""
+    out = []
+    for t, i in live:
+        while i < start and labels[t[order[i]]] == labels[order[i]]:
+            i += 1
+        if i < start:
+            a = labels[t[order[i]]]
+            if 0 < a < labels[order[i]]:
+                return None
+            if a:
                 continue
-            if a == 0 or a > b:
-                break
-            return True
-    return False
+        out.append((t, i))
+    return out
+
+
+def _swaps(bits: Sequence[int]) -> list[list[int]]:
+    """Per vertex v, its swap class: v and the vertices w with v's neighbors
+    besides each other, so that swapping v and w is an automorphism.  Those
+    are the vertices with v's neighborhood or those with v's closed
+    neighborhood, whichever are more; a vertex cannot have partners of both
+    kinds.  Vertices of one class share one list."""
+    classes: dict[int, list[int]] = {}
+    for v, b in enumerate(bits):
+        classes.setdefault(b, []).append(v)
+        classes.setdefault(b | 1 << v, []).append(v)
+    return [max(classes[b], classes[b | 1 << v], key=len) for v, b in enumerate(bits)]
 
 
 class _LabelSearch:
     """Complete search for a rigid completion of a partial labeling."""
 
-    def __init__(self, ctx: AutContext, labels: list[int], order: list[int],
-                 pool: int, tables: Sequence[Perm]):
+    def __init__(self, ctx: AutContext, labels: list[int], order: list[int], pool: int,
+                 known: list[Perm]):
         self.ctx = ctx
         self.labels = labels
         self.order = order
         self.pool = pool
-        self.tables = tables
+        self.swaps = _swaps(ctx.graph.adj_bits)
+        # nontrivial automorphisms of the graph, shared with the caller's other
+        # searches: _nontrivial tries them before it asks the engine
+        self.known = known
+
+    def _nontrivial(self, colors: list[int]) -> Perm | None:
+        """A nontrivial automorphism that keeps ``colors``, or None."""
+        for sigma in self.known:
+            if all(colors[sigma[u]] == colors[u] for u in range(len(colors))):
+                return sigma
+        sigma = self.ctx.first_nontrivial(colors)
+        if sigma is not None:
+            self.known.append(sigma)
+        return sigma
 
     def _pw_colors(self) -> list[int]:
         # unlabeled vertices get pairwise-distinct colors above the label range
         fresh = itertools.count(self.pool + 2)
         return [lab or next(fresh) for lab in self.labels]
 
-    def run(self, start: int, used: int) -> list[int] | None:
+    def _has_twin(self, i: int) -> bool:
+        # some vertex placed before order[i] has its label and its neighbors
+        # among the vertices placed after it (notes/decisions.md, "Coset
+        # tables, twins, swaps and known automorphisms")
+        v, labels, bits = self.order[i], self.labels, self.ctx.graph.adj_bits
+        later = sum(1 << u for u in self.order[i + 1:])
+        mine = bits[v] & later
+        return any(labels[w] == labels[v] and bits[w] & later == mine for w in self.order[:i])
+
+    def run(self, start: int, used: int, live: list[tuple[Perm, int]],
+            root: bool = False) -> list[int] | None:
+        """Search below the labels of order[:start], with the lex tables
+        ``live`` (see ``_lex_live``).  Below the ``root`` the dead-end query
+        is made only if the vertex placed last has a twin: else it would
+        find no automorphism."""
         labels = self.labels
-        if self.tables and _lex_rejected(labels, self.order[:start], self.tables):
+        live = _lex_live(labels, self.order, start, live)
+        if live is None:
             return None
-        if self.ctx.first_nontrivial(self._pw_colors()) is not None:
+        if (root or self._has_twin(start - 1)) and self._nontrivial(self._pw_colors()) is not None:
             return None
         if start == len(self.order):
             return list(labels)
         todo = self.order[start:]
-        if used < self.pool and self.ctx.is_rigid(labels):
+        if used < self.pool and self._nontrivial(labels) is None:
             # 0 acts as one shared "rest" class; promote it to a fresh label
             out = list(labels)
             for v in todo:
@@ -110,25 +165,29 @@ class _LabelSearch:
         v = todo[0]
         for lab in range(1, min(used + 1, self.pool) + 1):
             labels[v] = lab
-            found = self.run(start + 1, max(used, lab))
-            if found is not None:
-                labels[v] = 0
-                return found
+            # a swap of v with a vertex of its label keeps the labels: a dead end
+            found = (None if any(labels[w] == lab for w in self.swaps[v] if w != v)
+                     else self.run(start + 1, max(used, lab), live))
             labels[v] = 0
+            if found is not None:
+                return found
         return None
 
 
-def _search(ctx: AutContext, pool: int, cls: Sequence[int] = ()) -> list[int] | None:
+def _search(ctx: AutContext, pool: int, known: list[Perm],
+            cls: Sequence[int] = ()) -> list[int] | None:
     """A distinguishing labeling that gives the vertices of ``cls`` the label
     pool + 1 and every other vertex one of the labels 1..pool, or None.  The
-    search branches on ``cls`` first, then on the other vertices in order."""
+    search branches on ``cls`` first, then on the other vertices in order.
+    ``known`` holds nontrivial automorphisms of the graph, and the search
+    adds those the engine finds."""
     n = ctx.graph.n
     labels = [0] * n
     for v in cls:
         labels[v] = pool + 1
     order = sorted(cls) + [v for v in range(n) if labels[v] == 0]
-    search = _LabelSearch(ctx, labels, order, pool, _lex_tables(ctx, frozenset(cls)))
-    return search.run(len(cls), 0)
+    search = _LabelSearch(ctx, labels, order, pool, known)
+    return search.run(len(cls), 0, [(t, 0) for t in _lex_tables(ctx, frozenset(cls))], True)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +199,9 @@ def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int,
     ctx = ctx or AutContext(g)
     if ctx.full.order == 1:
         return 1, (1,) * g.n
+    known: list[Perm] = []
     for d in range(2, g.n + 1):
-        got = _search(ctx, d)
+        got = _search(ctx, d, known)
         if got is not None:
             if max(got) != d:
                 raise AssertionError("distinguishing witness skipped a smaller label count")
@@ -175,13 +235,14 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
     n = g.n
     if d == 1:
         return n, (1,) * n
+    known: list[Perm] = []
     for k in range(1, n + 1):
         if det_hint is not None and k > n - det_hint:
             raise AssertionError(
                 f"cost search passed the n - determining-number cutoff ({n - det_hint})"
             )
         for cls in _class_candidates(ctx, k):
-            got = _search(ctx, d - 1, cls)
+            got = _search(ctx, d - 1, known, cls)
             if got is not None:
                 if max(got) != d or len(set(got)) != d:
                     raise AssertionError(

@@ -510,7 +510,7 @@ def _engine_oracle(index: int, g: Graph, group: Callable[[], PermGroup]) -> Verd
     expected = set(brute_force_automorphisms(g))
     full = group()
     if expected != set(enumerate_elements(full)):
-        return _fail(emit_graph6(g), "engine group differs from permutation filter",
+        return _fail(emit_graph6(g), "engine group differs from brute-force backtracking",
                      engine_order=full.order, brute_order=len(expected))
     return _OK
 
@@ -893,7 +893,7 @@ _REGISTRY: dict[str, CheckDef] = {c.theorem_id: c for c in (
     CheckDef("Cor2.7", "bound", _BOUND_CORPUS, "det <= cost or d = 2 forces det <= n/2",
              _check_cor27),
     CheckDef("EngineOracle", "bound", _BOUND_CORPUS, "engine group equals the brute-force "
-             "permutation filter on a 1% sample", _check_engine_oracle),
+             "backtracking group on a 1% sample", _check_engine_oracle),
     CheckDef("Thm3.1", "friendship", "friendship:2..8", "friendship distinguishing numbers "
              "match the closed form", functools.partial(_each, _thm31)),
     CheckDef("Rem3.2", "threshold", "friendship:2..7", "label-count thresholds of the "

@@ -234,10 +234,10 @@ def test_verify_budget_exceeded_outside_bound_pass(capsys):
     # each friendship order is judged on its own: an overrun at a large n
     # keeps the verdicts of the orders that fit
     code, out, _ = run(capsys, "verify", "--suite", "Thm3.1", "--corpus", "friendship:2..8",
-                       "--budget", "300", "--json")
+                       "--budget", "150", "--json")
     assert code == 3
     [report] = json.loads(out)
-    assert report["status"] == "budget-exceeded" and report["hypothesis_met"] == 4
+    assert report["status"] == "budget-exceeded" and report["hypothesis_met"] == 5
     # a corona pair that runs out of budget does not hide another pair's
     # counterexample
     code, out, _ = run(capsys, "verify", "--suite", "Thm4.1", "--corpus",
@@ -258,8 +258,8 @@ def test_verify_budget_exceeded_outside_bound_pass(capsys):
 
 
 def test_verify_hypercube_dimensions_are_judged_one_by_one(capsys):
-    # Q3 fits in 200 nodes and Q4 does not: the overrun on Q4 keeps Q3's verdict
-    code, out, _ = run(capsys, "verify", "--suite", "HypercubeCost", "--budget", "200", "--json")
+    # Q3 fits in 80 nodes and Q4 does not: the overrun on Q4 keeps Q3's verdict
+    code, out, _ = run(capsys, "verify", "--suite", "HypercubeCost", "--budget", "80", "--json")
     assert code == 0
     [report] = json.loads(out)
     assert (report["status"], report["hypothesis_met"]) == ("budget-exceeded", 1)

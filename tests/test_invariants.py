@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 import _oracles
 from symlab import (AutContext, Budget, InvariantReport, automorphisms,
                     check_witnesses, complete, corona, cost, cycle, determining_number,
-                    distinguishing_number, friendship, invariant_report, is_determining_set,
-                    minimum_determining_sets, path, star, subset_distinguishing_witness,
-                    subset_is_d_distinguishable)
+                    distinguishing_number, friendship, hypercube, invariant_report,
+                    is_determining_set, minimum_determining_sets, path, star,
+                    subset_distinguishing_witness, subset_is_d_distinguishable)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,7 @@ def test_petersen_invariants():
 
 def test_larger_structured_graphs():
     from math import factorial
-    from symlab import complete_bipartite, hypercube
+    from symlab import complete_bipartite
     assert distinguishing_number(cycle(30))[0] == 2
     k99 = complete_bipartite(9, 9)
     ctx = AutContext(k99)
@@ -278,12 +279,45 @@ def test_cost_det_hint_never_cuts():
         assert plain == hinted
 
 
+def _d_and_cost(g):
+    budget = Budget()
+    ctx = AutContext(g, budget)
+    d, witness = distinguishing_number(g, ctx=ctx)
+    return (d, witness, cost(g, d=d, ctx=ctx)), budget.used
+
+
+def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
+    # the coset-table orbit prune, the twin and swap tests and the known
+    # automorphisms only skip work: with no tables, no swaps and an engine
+    # query at every node, D, rho and both witnesses are the same
+    # (notes/decisions.md, "Coset tables, twins, swaps and known automorphisms")
+    from symlab import invariants
+    graphs = [_oracles.random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7)))
+              for _ in range(300)]
+    for g in (friendship(4), hypercube(3), star(6), corona(path(3), complete(2))):
+        graphs.append(g)
+        for key in range(5):
+            sigma = list(range(g.n))
+            random.Random(key).shuffle(sigma)
+            graphs.append(_oracles.relabeled(g, sigma))
+    pruned = [_d_and_cost(g) for g in graphs]
+    monkeypatch.setattr(invariants, "_lex_tables", lambda ctx, fixed: [])
+    monkeypatch.setattr(invariants._LabelSearch, "_has_twin", lambda self, i: True)
+    monkeypatch.setattr(invariants, "_swaps", lambda bits: [[] for _ in bits])
+    monkeypatch.setattr(invariants._LabelSearch, "_nontrivial",
+                        lambda self, colors: self.ctx.first_nontrivial(colors))
+    unpruned = [_d_and_cost(g) for g in graphs]
+    assert [got for got, _ in unpruned] == [got for got, _ in pruned]
+    # the prunes were in force
+    assert sum(used for _, used in unpruned) > sum(used for _, used in pruned)
+
+
 # ---------------------------------------------------------------------------
 # search size and the benchmark panel
 # ---------------------------------------------------------------------------
 
 def test_symmetric_reports_fit_small_budgets():
-    # with stabilizer-orbit pruning these reports take 3,345 and 16,175 nodes;
+    # with stabilizer-orbit pruning these reports take 639 and 7,358 nodes;
     # scanning every k-subset for the determining set takes over 280,000
     g, h = friendship(8), corona(path(4), complete(3))
     assert invariant_report(g, ctx=AutContext(g, Budget(10_000))).determining_number == 8
