@@ -54,9 +54,13 @@ class Budget:
     def spend(self, amount: int = 1) -> None:
         self.used += amount
         if self.used > self.cap:
-            raise BudgetExceededError(
-                f"search budget of {self.cap} nodes exhausted"
-            )
+            raise BudgetExceededError(f"search budget of {self.cap} nodes exhausted")
+
+    def recall(self) -> None:
+        """One node for a query answered without a search (not a refinement)."""
+        self.used += 1
+        if self.used > self.cap:
+            raise BudgetExceededError(f"search budget of {self.cap} nodes exhausted")
 
 
 @dataclass(frozen=True)
@@ -482,17 +486,28 @@ def refine(g: Graph, colors: Sequence[int], budget: Budget | None = None) -> tup
 # ---------------------------------------------------------------------------
 
 class AutContext:
-    """One graph's full automorphism group, kept, and a node budget that every
-    colored query spends through its own refinement search."""
+    """One graph's full automorphism group, kept, the nontrivial automorphisms
+    its colored queries have found, and a node budget that every query spends.
+    A query whose colors a found automorphism keeps is answered by it, without
+    a search, for one node (``notes/decisions.md``, "Known automorphisms")."""
 
     def __init__(self, graph: Graph, budget: Budget | None = None):
         self.graph = graph
         self.budget = budget or Budget()
         self.full = automorphisms(graph, budget=self.budget)
+        self._known: list[Perm] = []
 
     def first_nontrivial(self, colors: Sequence[int]) -> Perm | None:
+        """A nontrivial automorphism that keeps ``colors``, or None."""
         key = _color_key(self.graph.n, colors)
-        return _Engine(self.graph, key, self.budget).first_nontrivial()
+        for sigma in self._known:
+            if all(key[s] == c for s, c in zip(sigma, key)):
+                self.budget.recall()
+                return sigma
+        sigma = _Engine(self.graph, key, self.budget).first_nontrivial()
+        if sigma is not None:
+            self._known.append(sigma)
+        return sigma
 
     def is_rigid(self, colors: Sequence[int]) -> bool:
         return self.first_nontrivial(colors) is None

@@ -15,9 +15,9 @@ searches are complete backtracking with three prunes:
 * shortcut: if the partial label classes plus "rest" already pin the graph
   rigid and a fresh label is available, the rest becomes one new class.
 
-The dead-end and shortcut queries first try the automorphisms that earlier
-queries found, in the same invariant's searches, and ask the engine only
-when none keeps the colors.
+Both queries go to the graph's ``AutContext``.  It answers with an
+automorphism that an earlier query of any invariant found, if one keeps the
+colors, and searches only when none does.
 
 Label names are canonicalized by first use, so label permutations are never
 re-explored.  The cost search tries, for each class size, the lex-least
@@ -103,26 +103,12 @@ def _swaps(bits: Sequence[int]) -> list[list[int]]:
 class _LabelSearch:
     """Complete search for a rigid completion of a partial labeling."""
 
-    def __init__(self, ctx: AutContext, labels: list[int], order: list[int], pool: int,
-                 known: list[Perm]):
+    def __init__(self, ctx: AutContext, labels: list[int], order: list[int], pool: int):
         self.ctx = ctx
         self.labels = labels
         self.order = order
         self.pool = pool
         self.swaps = _swaps(ctx.graph.adj_bits)
-        # nontrivial automorphisms of the graph, shared with the caller's other
-        # searches: _nontrivial tries them before it asks the engine
-        self.known = known
-
-    def _nontrivial(self, colors: list[int]) -> Perm | None:
-        """A nontrivial automorphism that keeps ``colors``, or None."""
-        for sigma in self.known:
-            if all(colors[sigma[u]] == colors[u] for u in range(len(colors))):
-                return sigma
-        sigma = self.ctx.first_nontrivial(colors)
-        if sigma is not None:
-            self.known.append(sigma)
-        return sigma
 
     def _pw_colors(self) -> list[int]:
         # unlabeled vertices get pairwise-distinct colors above the label range
@@ -148,12 +134,12 @@ class _LabelSearch:
         live = _lex_live(labels, self.order, start, live)
         if live is None:
             return None
-        if (root or self._has_twin(start - 1)) and self._nontrivial(self._pw_colors()) is not None:
+        if (root or self._has_twin(start - 1)) and not self.ctx.is_rigid(self._pw_colors()):
             return None
         if start == len(self.order):
             return list(labels)
         todo = self.order[start:]
-        if used < self.pool and self._nontrivial(labels) is None:
+        if used < self.pool and self.ctx.is_rigid(labels):
             # 0 acts as one shared "rest" class; promote it to a fresh label
             out = list(labels)
             for v in todo:
@@ -174,19 +160,16 @@ class _LabelSearch:
         return None
 
 
-def _search(ctx: AutContext, pool: int, known: list[Perm],
-            cls: Sequence[int] = ()) -> list[int] | None:
+def _search(ctx: AutContext, pool: int, cls: Sequence[int] = ()) -> list[int] | None:
     """A distinguishing labeling that gives the vertices of ``cls`` the label
     pool + 1 and every other vertex one of the labels 1..pool, or None.  The
-    search branches on ``cls`` first, then on the other vertices in order.
-    ``known`` holds nontrivial automorphisms of the graph, and the search
-    adds those the engine finds."""
+    search branches on ``cls`` first, then on the other vertices in order."""
     n = ctx.graph.n
     labels = [0] * n
     for v in cls:
         labels[v] = pool + 1
     order = sorted(cls) + [v for v in range(n) if labels[v] == 0]
-    search = _LabelSearch(ctx, labels, order, pool, known)
+    search = _LabelSearch(ctx, labels, order, pool)
     return search.run(len(cls), 0, [(t, 0) for t in _lex_tables(ctx, frozenset(cls))], True)
 
 
@@ -199,9 +182,8 @@ def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int,
     ctx = ctx or AutContext(g)
     if ctx.full.order == 1:
         return 1, (1,) * g.n
-    known: list[Perm] = []
     for d in range(2, g.n + 1):
-        got = _search(ctx, d, known)
+        got = _search(ctx, d)
         if got is not None:
             if max(got) != d:
                 raise AssertionError("distinguishing witness skipped a smaller label count")
@@ -235,14 +217,13 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
     n = g.n
     if d == 1:
         return n, (1,) * n
-    known: list[Perm] = []
     for k in range(1, n + 1):
         if det_hint is not None and k > n - det_hint:
             raise AssertionError(
                 f"cost search passed the n - determining-number cutoff ({n - det_hint})"
             )
         for cls in _class_candidates(ctx, k):
-            got = _search(ctx, d - 1, known, cls)
+            got = _search(ctx, d - 1, cls)
             if got is not None:
                 if max(got) != d or len(set(got)) != d:
                     raise AssertionError(

@@ -42,8 +42,8 @@ from . import families
 from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET, PermGroup,
                   automorphisms, brute_force_automorphisms, enumerate_elements,
                   labeling_colors)
-from .graphs import (FamilySpec, FamilySpecError, Graph, Graph6Error, corona,
-                     emit_graph6, friendship, from_edge_list, hypercube,
+from .graphs import (MAX_FAMILY_ORDER, FamilySpec, FamilySpecError, Graph, Graph6Error,
+                     corona, emit_graph6, friendship, from_edge_list, hypercube,
                      induced_subgraph, parse_family_spec, parse_graph6)
 from .invariants import (InvariantReport, cost, determining_number,
                          distinguishing_number, invariant_report,
@@ -188,7 +188,7 @@ def _connected_orders(text: str) -> range:
 
 
 def _friendship_range(text: str) -> range:
-    """The friendship orders of ``A..B`` (or ``A``), n >= 2."""
+    """The friendship orders of ``A..B`` (or ``A``), n >= 2 and 2n + 1 within the cap."""
     lo, sep, hi = text.partition("..")
     try:
         a = int(lo)
@@ -199,6 +199,8 @@ def _friendship_range(text: str) -> range:
         raise CorpusError(f"empty friendship range {text!r}")
     if a < 2:
         raise CorpusError(f"friendship graphs start at n=2, got {a}")
+    if 2 * b + 1 > MAX_FAMILY_ORDER:
+        raise CorpusError(f"friendship:{b} has order above the cap of {MAX_FAMILY_ORDER}")
     return range(a, b + 1)
 
 

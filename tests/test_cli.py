@@ -281,6 +281,13 @@ def test_verify_rejects_all_connected_above_order_7(capsys, no_search):
     code, out, err = run(capsys, "verify", "--suite", "Prop2.2", "--corpus", "all-connected:8")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "order" in err and "file:" in err
+    # a friendship range is capped like a family spec: friendship:B has order
+    # 2B + 1, and the range is not built when B is past the cap
+    for suite, corpus in (("Thm3.1", "friendship:2..600"),
+                          ("Thm2.8", "friendship:2..1000000000")):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--corpus", corpus)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "order above the cap" in err
 
 
 def test_verify_malformed_corpus_file_is_usage_error(capsys, tmp_path, no_search):

@@ -286,12 +286,19 @@ def _d_and_cost(g):
     return (d, witness, cost(g, d=d, ctx=ctx)), budget.used
 
 
+class _Forgetful(list):
+    """A context's memory of found automorphisms that keeps nothing."""
+
+    def append(self, sigma):
+        pass
+
+
 def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
-    # the coset-table orbit prune, the twin and swap tests and the known
-    # automorphisms only skip work: with no tables, no swaps and an engine
-    # query at every node, D, rho and both witnesses are the same
+    # the coset-table orbit prune, the twin and swap tests and the context's
+    # known automorphisms only skip work: with no tables, no swaps and an
+    # engine query at every node, D, rho and both witnesses are the same
     # (notes/decisions.md, "Coset tables, twins, swaps and known automorphisms")
-    from symlab import invariants
+    from symlab import aut, invariants
     graphs = [_oracles.random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7)))
               for _ in range(300)]
     for g in (friendship(4), hypercube(3), star(6), corona(path(3), complete(2))):
@@ -304,12 +311,66 @@ def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
     monkeypatch.setattr(invariants, "_lex_tables", lambda ctx, fixed: [])
     monkeypatch.setattr(invariants._LabelSearch, "_has_twin", lambda self, i: True)
     monkeypatch.setattr(invariants, "_swaps", lambda bits: [[] for _ in bits])
-    monkeypatch.setattr(invariants._LabelSearch, "_nontrivial",
-                        lambda self, colors: self.ctx.first_nontrivial(colors))
+    init = aut.AutContext.__init__
+
+    def forgetful_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._known = _Forgetful()
+
+    monkeypatch.setattr(aut.AutContext, "__init__", forgetful_init)
     unpruned = [_d_and_cost(g) for g in graphs]
     assert [got for got, _ in unpruned] == [got for got, _ in pruned]
     # the prunes were in force
     assert sum(used for _, used in unpruned) > sum(used for _, used in pruned)
+
+
+def test_context_never_refinds_an_automorphism(monkeypatch):
+    # D, rho, det and the determining-set scan share one context's found
+    # automorphisms, so the engine never returns one the context holds
+    from symlab import aut
+    found: list = []
+    engine_first = aut._Engine.first_nontrivial
+
+    def first_nontrivial(self):
+        sigma = engine_first(self)
+        if sigma is not None:
+            found.append(sigma)
+        return sigma
+
+    monkeypatch.setattr(aut._Engine, "first_nontrivial", first_nontrivial)
+    for g in (friendship(6), hypercube(3)):
+        sigma = list(range(g.n))
+        random.Random(1).shuffle(sigma)
+        for h in (g, _oracles.relabeled(g, sigma)):
+            found.clear()
+            ctx = AutContext(h)
+            invariant_report(h, ctx=ctx)
+            minimum_determining_sets(h, ctx=ctx)
+            assert found and len(set(found)) == len(found)
+
+
+def test_remembered_answers_spend_the_budget(monkeypatch):
+    # a query answered by an automorphism the context found spends one node,
+    # so the budget bounds the number of queries, not only the searches: the
+    # determining-set scan on friendship:8 makes about 24,000 queries, most
+    # answered that way, with fewer than 1,000 refinements
+    from symlab import aut
+    calls = [0]
+    first_nontrivial = AutContext.first_nontrivial
+
+    def counted(self, colors):
+        calls[0] += 1
+        return first_nontrivial(self, colors)
+
+    monkeypatch.setattr(AutContext, "first_nontrivial", counted)
+    g = friendship(8)
+    budget = Budget()
+    ctx = AutContext(g, budget)
+    setup = budget.used
+    minimum_determining_sets(g, ctx=ctx)
+    assert calls[0] <= budget.used - setup
+    with pytest.raises(aut.BudgetExceededError):
+        minimum_determining_sets(g, ctx=AutContext(g, Budget(2_000)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +378,7 @@ def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_symmetric_reports_fit_small_budgets():
-    # with stabilizer-orbit pruning these reports take 639 and 7,358 nodes;
+    # with stabilizer-orbit pruning these reports take 863 and 6,671 nodes;
     # scanning every k-subset for the determining set takes over 280,000
     g, h = friendship(8), corona(path(4), complete(3))
     assert invariant_report(g, ctx=AutContext(g, Budget(10_000))).determining_number == 8
