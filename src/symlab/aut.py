@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -495,18 +496,20 @@ class AutContext:
         self.graph = graph
         self.budget = budget or Budget()
         self.full = automorphisms(graph, budget=self.budget)
-        self._known: list[Perm] = []
+        # each found automorphism with the itemgetter that reads colors through it
+        self._known: list[tuple[Perm, operator.itemgetter]] = []
 
     def first_nontrivial(self, colors: Sequence[int]) -> Perm | None:
         """A nontrivial automorphism that keeps ``colors``, or None."""
         key = _color_key(self.graph.n, colors)
-        for sigma in self._known:
-            if all(key[s] == c for s, c in zip(sigma, key)):
+        for sigma, image in self._known:
+            # a nontrivial sigma has n >= 2 points, so image(key) is a tuple
+            if image(key) == key:
                 self.budget.recall()
                 return sigma
         sigma = _Engine(self.graph, key, self.budget).first_nontrivial()
         if sigma is not None:
-            self._known.append(sigma)
+            self._known.append((sigma, operator.itemgetter(*sigma)))
         return sigma
 
     def is_rigid(self, colors: Sequence[int]) -> bool:

@@ -63,52 +63,88 @@ def _lex_tables(ctx: AutContext, fixed: frozenset[int]) -> list[Perm]:
             if all(p[v] in fixed for v in fixed)]
 
 
-def _lex_live(labels: list[int], order: list[int], start: int,
-              live: list[tuple[Perm, int]]) -> list[tuple[Perm, int]] | None:
-    """The orbit prune at the labels of order[:start]: None when a table of
-    ``live`` maps them to a strictly lex-smaller labeling along ``order``
-    (unlabeled compares as +inf), else the tables that still may reject
-    below, each with the first position where it does not yet compare equal.
+class _LexBuckets:
+    """The orbit prune's tables, each filed under the one vertex whose
+    label can change its state (``notes/decisions.md``, "Coset tables,
+    twins, swaps and known automorphisms").
 
-    ``live`` comes from the parent, whose labels this node keeps: positions
-    that compared equal with both ends labeled stay equal, and a table that
-    gave a larger labeling there gives a larger one in the whole subtree."""
-    out = []
-    for t, i in live:
-        while i < start and labels[t[order[i]]] == labels[order[i]]:
-            i += 1
-        if i < start:
-            a = labels[t[order[i]]]
-            if 0 < a < labels[order[i]]:
-                return None
-            if a:
+    A table t waits at the first position i of ``order`` where it does not
+    yet compare equal: on t[order[i]] while order[i] is labeled and its
+    image is not, else on order[i].  Labeling any other vertex leaves that
+    state as it is, so a node rescans only the tables of the vertex it
+    labeled last, and nothing is filed under a labeled vertex."""
+
+    def __init__(self, order: list[int], start: int, tables: list[Perm]):
+        self.order = order
+        self.waiting: list[list[tuple[Perm, int]]] = [[] for _ in order]
+        if start < len(order):
+            # the tables map the pre-assigned order[:start] onto itself
+            self.waiting[order[start]] = [(t, start) for t in tables]
+
+    def enter(self, labels: list[int], start: int) -> list[int] | None:
+        """The orbit prune at the labels of order[:start]: None when a table
+        maps them to a strictly lex-smaller labeling along ``order``
+        (unlabeled compares as +inf), else the keys under which the tables
+        waiting on order[start - 1] were filed anew, for ``leave``.  A table
+        that gives a larger labeling gives one in the whole subtree, so it
+        is filed nowhere."""
+        order, waiting, end = self.order, self.waiting, len(self.order)
+        filed: list[int] = []
+        for t, i in waiting[order[start - 1]]:
+            while i < start and labels[t[order[i]]] == labels[order[i]]:
+                i += 1
+            if i < start:
+                key = t[order[i]]
+                a = labels[key]
+                if a:
+                    if a < labels[order[i]]:
+                        self.leave(filed)
+                        return None
+                    continue
+            elif i < end:
+                key = order[i]
+            else:
                 continue
-        out.append((t, i))
-    return out
+            waiting[key].append((t, i))
+            filed.append(key)
+        return filed
+
+    def leave(self, filed: list[int]) -> None:
+        """Undo ``enter``.  The subtree below has undone its own filings, so
+        each table filed here is last in its bucket."""
+        for key in filed:
+            self.waiting[key].pop()
 
 
 def _swaps(bits: Sequence[int]) -> list[list[int]]:
-    """Per vertex v, its swap class: v and the vertices w with v's neighbors
-    besides each other, so that swapping v and w is an automorphism.  Those
-    are the vertices with v's neighborhood or those with v's closed
+    """Per vertex v, its swap partners: the vertices w with v's neighbors
+    besides each other, so that swapping v and w is an automorphism.  They
+    are the other vertices with v's neighborhood or those with v's closed
     neighborhood, whichever are more; a vertex cannot have partners of both
-    kinds.  Vertices of one class share one list."""
+    kinds."""
     classes: dict[int, list[int]] = {}
     for v, b in enumerate(bits):
         classes.setdefault(b, []).append(v)
         classes.setdefault(b | 1 << v, []).append(v)
-    return [max(classes[b], classes[b | 1 << v], key=len) for v, b in enumerate(bits)]
+    return [[w for w in max(classes[b], classes[b | 1 << v], key=len) if w != v]
+            for v, b in enumerate(bits)]
 
 
 class _LabelSearch:
     """Complete search for a rigid completion of a partial labeling."""
 
-    def __init__(self, ctx: AutContext, labels: list[int], order: list[int], pool: int):
+    def __init__(self, ctx: AutContext, labels: list[int], order: list[int], pool: int,
+                 lex: _LexBuckets):
         self.ctx = ctx
         self.labels = labels
         self.order = order
         self.pool = pool
+        self.lex = lex
         self.swaps = _swaps(ctx.graph.adj_bits)
+        # later[i]: the vertices placed after order[i], as a bitmask
+        self.later = [0] * len(order)
+        for i in range(len(order) - 1, 0, -1):
+            self.later[i - 1] = self.later[i] | 1 << order[i]
 
     def _pw_colors(self) -> list[int]:
         # unlabeled vertices get pairwise-distinct colors above the label range
@@ -120,44 +156,49 @@ class _LabelSearch:
         # among the vertices placed after it (notes/decisions.md, "Coset
         # tables, twins, swaps and known automorphisms")
         v, labels, bits = self.order[i], self.labels, self.ctx.graph.adj_bits
-        later = sum(1 << u for u in self.order[i + 1:])
+        later = self.later[i]
         mine = bits[v] & later
         return any(labels[w] == labels[v] and bits[w] & later == mine for w in self.order[:i])
 
-    def run(self, start: int, used: int, live: list[tuple[Perm, int]],
-            root: bool = False) -> list[int] | None:
-        """Search below the labels of order[:start], with the lex tables
-        ``live`` (see ``_lex_live``).  Below the ``root`` the dead-end query
-        is made only if the vertex placed last has a twin: else it would
-        find no automorphism."""
+    def run(self, start: int, used: int, root: bool = False) -> list[int] | None:
+        """Search below the labels of order[:start].  Below the ``root`` the
+        lex prune rescans the tables waiting on the vertex placed last, and
+        the dead-end query is made only if that vertex has a twin: else it
+        would find no automorphism."""
         labels = self.labels
-        live = _lex_live(labels, self.order, start, live)
-        if live is None:
+        if not root:
+            filed = self.lex.enter(labels, start)
+            if filed is None:
+                return None
+        try:
+            if (root or self._has_twin(start - 1)) and not self.ctx.is_rigid(self._pw_colors()):
+                return None
+            if start == len(self.order):
+                return list(labels)
+            todo = self.order[start:]
+            if used < self.pool and self.ctx.is_rigid(labels):
+                # 0 acts as one shared "rest" class; promote it to a fresh label
+                out = list(labels)
+                for v in todo:
+                    out[v] = used + 1
+                return out
+            if self.pool == 1:
+                # the rest as one class was the only completion left
+                return None
+            v = todo[0]
+            partners = self.swaps[v]
+            for lab in range(1, min(used + 1, self.pool) + 1):
+                labels[v] = lab
+                # a swap of v with a partner of its label keeps the labels: a dead end
+                found = (None if partners and any(labels[w] == lab for w in partners)
+                         else self.run(start + 1, max(used, lab)))
+                labels[v] = 0
+                if found is not None:
+                    return found
             return None
-        if (root or self._has_twin(start - 1)) and not self.ctx.is_rigid(self._pw_colors()):
-            return None
-        if start == len(self.order):
-            return list(labels)
-        todo = self.order[start:]
-        if used < self.pool and self.ctx.is_rigid(labels):
-            # 0 acts as one shared "rest" class; promote it to a fresh label
-            out = list(labels)
-            for v in todo:
-                out[v] = used + 1
-            return out
-        if self.pool == 1:
-            # the rest as one class was the only completion left
-            return None
-        v = todo[0]
-        for lab in range(1, min(used + 1, self.pool) + 1):
-            labels[v] = lab
-            # a swap of v with a vertex of its label keeps the labels: a dead end
-            found = (None if any(labels[w] == lab for w in self.swaps[v] if w != v)
-                     else self.run(start + 1, max(used, lab), live))
-            labels[v] = 0
-            if found is not None:
-                return found
-        return None
+        finally:
+            if not root:
+                self.lex.leave(filed)
 
 
 def _search(ctx: AutContext, pool: int, cls: Sequence[int] = ()) -> list[int] | None:
@@ -169,8 +210,8 @@ def _search(ctx: AutContext, pool: int, cls: Sequence[int] = ()) -> list[int] | 
     for v in cls:
         labels[v] = pool + 1
     order = sorted(cls) + [v for v in range(n) if labels[v] == 0]
-    search = _LabelSearch(ctx, labels, order, pool)
-    return search.run(len(cls), 0, [(t, 0) for t in _lex_tables(ctx, frozenset(cls))], True)
+    lex = _LexBuckets(order, len(cls), _lex_tables(ctx, frozenset(cls)))
+    return _LabelSearch(ctx, labels, order, pool, lex).run(len(cls), 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +392,15 @@ def subset_distinguishing_witness(g: Graph, w: Iterable[int], upto: int | None =
     if not ws:
         return (1, {})
     ctx = ctx or AutContext(g)
+    # for a determining w, the group keeping w's classes fixes w pointwise
+    # iff it is trivial (notes/decisions.md, "Subset distinguishability of a
+    # determining set is rigidity")
+    determines = ctx.pointwise_trivial(ws)
     limit = len(ws) if upto is None else min(upto, len(ws))
     for d in range(1, limit + 1):
         for labeling in _partitions_into(ws, d):
-            if subset_is_d_distinguishable(g, ws, labeling, ctx=ctx):
+            if (ctx.is_rigid(labeling_colors(g.n, labeling, 0)) if determines
+                    else subset_is_d_distinguishable(g, ws, labeling, ctx=ctx)):
                 return d, labeling
     if upto is not None and upto < len(ws):
         return None

@@ -125,6 +125,48 @@ def brute_subset_distinguishing(g: Graph, w, elements=None) -> int:
     raise AssertionError("distinct labels on w distinguish it")
 
 
+def lex_live(labels, order, start, live):
+    """The orbit prune at the labels of order[:start] by a scan of every live
+    table: None when a table of ``live`` maps them to a strictly lex-smaller
+    labeling along ``order`` (unlabeled compares as +inf), else the tables
+    that still may reject below, each with the first position where it does
+    not yet compare equal.
+
+    ``live`` comes from the parent, whose labels this node keeps: positions
+    that compared equal with both ends labeled stay equal, and a table that
+    gave a larger labeling there gives a larger one in the whole subtree."""
+    out = []
+    for t, i in live:
+        while i < start and labels[t[order[i]]] == labels[order[i]]:
+            i += 1
+        if i < start:
+            a = labels[t[order[i]]]
+            if 0 < a < labels[order[i]]:
+                return None
+            if a:
+                continue
+        out.append((t, i))
+    return out
+
+
+class FullScanLex:
+    """The interface of ``invariants._LexBuckets``, answered by ``lex_live``
+    over every live table at each node: one list of live tables per depth."""
+
+    def __init__(self, order, start, tables):
+        self.order = order
+        self.live = [[(t, 0) for t in tables]]
+
+    def enter(self, labels, start):
+        live = lex_live(labels, self.order, start, self.live[-1])
+        if live is not None:
+            self.live.append(live)
+        return live
+
+    def leave(self, filed):
+        self.live.pop()
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
     return from_edge_list(n, edges)

@@ -150,6 +150,54 @@ def test_subset_upto_cutoff():
     assert subset_distinguishing_witness(cycle(4), [0, 2], upto=1) is None
 
 
+def _group_route_witness(g, w, upto):
+    # subset_is_d_distinguishable on every labeling, in the same order
+    from symlab.invariants import _partitions_into
+    ws = sorted(set(w))
+    if not ws:
+        return (1, {})
+    ctx = AutContext(g)
+    for d in range(1, (len(ws) if upto is None else min(upto, len(ws))) + 1):
+        for labeling in _partitions_into(ws, d):
+            if subset_is_d_distinguishable(g, ws, labeling, ctx=ctx):
+                return d, labeling
+    return None
+
+
+def test_determining_subsets_take_the_rigidity_route(rng, monkeypatch):
+    # a determining w is tested by one rigidity query per labeling and no
+    # colored group; every w gets the witness of the group route
+    # (notes/decisions.md, "Subset distinguishability of a determining set
+    # is rigidity")
+    groups = [0]
+    group = AutContext.group
+
+    def counted(self, colors):
+        groups[0] += 1
+        return group(self, colors)
+
+    monkeypatch.setattr(AutContext, "group", counted)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        g = _oracles.random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.5)))
+        _, base = determining_number(g)
+        extra = [v for v in range(g.n) if rng.random() < 0.3]
+        for w in (base, sorted(set(base) | set(extra)), extra,
+                  [v for v in range(g.n) if rng.random() < 0.5]):
+            determines = is_determining_set(g, w)
+            seen[determines] += 1
+            for upto in (None, 1, 2):
+                want = _group_route_witness(g, w, upto)
+                groups[0] = 0
+                assert subset_distinguishing_witness(g, w, upto) == want, (g.adj, w, upto)
+                if determines:
+                    assert groups[0] == 0
+    assert min(seen.values()) > 20  # both routes were taken
+    # the adjacent pair of the 4-cycle determines, yet needs 2 labels
+    assert subset_distinguishing_witness(cycle(4), [0, 1], upto=1) is None
+    assert subset_distinguishing_witness(cycle(4), [0, 2], upto=1) is None
+
+
 # ---------------------------------------------------------------------------
 # the searches agree with brute force on an exhaustive small corpus
 # ---------------------------------------------------------------------------
@@ -293,12 +341,9 @@ class _Forgetful(list):
         pass
 
 
-def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
-    # the coset-table orbit prune, the twin and swap tests and the context's
-    # known automorphisms only skip work: with no tables, no swaps and an
-    # engine query at every node, D, rho and both witnesses are the same
-    # (notes/decisions.md, "Coset tables, twins, swaps and known automorphisms")
-    from symlab import aut, invariants
+def _prune_corpus(rng):
+    # 300 random graphs of order <= 8, and four symmetric graphs, each as
+    # built and under five relabelings
     graphs = [_oracles.random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7)))
               for _ in range(300)]
     for g in (friendship(4), hypercube(3), star(6), corona(path(3), complete(2))):
@@ -307,6 +352,16 @@ def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
             sigma = list(range(g.n))
             random.Random(key).shuffle(sigma)
             graphs.append(_oracles.relabeled(g, sigma))
+    return graphs
+
+
+def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
+    # the coset-table orbit prune, the twin and swap tests and the context's
+    # known automorphisms only skip work: with no tables, no swaps and an
+    # engine query at every node, D, rho and both witnesses are the same
+    # (notes/decisions.md, "Coset tables, twins, swaps and known automorphisms")
+    from symlab import aut, invariants
+    graphs = _prune_corpus(rng)
     pruned = [_d_and_cost(g) for g in graphs]
     monkeypatch.setattr(invariants, "_lex_tables", lambda ctx, fixed: [])
     monkeypatch.setattr(invariants._LabelSearch, "_has_twin", lambda self, i: True)
@@ -322,6 +377,25 @@ def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
     assert [got for got, _ in unpruned] == [got for got, _ in pruned]
     # the prunes were in force
     assert sum(used for _, used in unpruned) > sum(used for _, used in pruned)
+
+
+def test_lex_buckets_reject_what_the_full_scan_rejects(rng, monkeypatch):
+    # rescanning only the tables a new label can change rejects the same
+    # nodes as scanning every live table, so D, rho, both witnesses and the
+    # budget spent are the same (notes/decisions.md, "Coset tables, twins,
+    # swaps and known automorphisms")
+    from symlab import invariants
+    graphs = _prune_corpus(rng)
+    bucketed = [_d_and_cost(g) for g in graphs]
+    tables = []
+
+    def full_scan(order, start, ts):
+        tables.extend(ts)
+        return _oracles.FullScanLex(order, start, ts)
+
+    monkeypatch.setattr(invariants, "_LexBuckets", full_scan)
+    assert [_d_and_cost(g) for g in graphs] == bucketed
+    assert tables  # the full scan was in force
 
 
 def test_context_never_refinds_an_automorphism(monkeypatch):
