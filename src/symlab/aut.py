@@ -10,9 +10,6 @@ vertex coloring, using individualization-refinement backtracking:
   finds one coset representative per orbit point.  The group keeps these
   transversals, one per level of this first-path stabilizer chain: its order
   is the product of their sizes, its elements their products.
-* The canonical form walks the whole tree of such individualizations and
-  keeps the least relabeling of the graph by a discrete leaf, skipping the
-  subtrees that automorphisms found on the way show to be repeats.
 
 All searches are deterministic (fixed cell selection, vertices branched in
 index order) and guarded by a node budget: exhausting the budget raises,
@@ -91,13 +88,6 @@ def identity_perm(n: int) -> Perm:
 def compose(p: Perm, q: Perm) -> Perm:
     """Permutation applying q first, then p."""
     return tuple(p[x] for x in q)
-
-
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 def _is_automorphism(bits: Sequence[int], colors: Sequence[int], sigma: Sequence[int]) -> bool:
@@ -320,64 +310,6 @@ class _Engine:
         gens, _ = self._group_of(self.refine(self.root), first=True)
         return gens[0] if gens else None
 
-    # -- canonical form: the least leaf certificate of the whole tree ---------
-
-    def canonical(self) -> tuple[int, ...]:
-        leaves: dict[tuple[int, ...], list[int]] = {}
-        self._canon(self.refine(self.root), [], leaves, [])
-        return min(leaves)
-
-    def _canon(self, colors: list[int], trail: list[list], leaves: dict,
-               auts: list[Perm]) -> int | None:
-        """Collect into ``leaves`` each leaf certificate below ``colors`` with
-        the first leaf giving it.  ``trail`` holds, per ancestor, the vertex
-        individualized below it and its children explored so far.
-
-        Two leaves with one certificate give an automorphism.  A child in the
-        orbit of an explored sibling under the automorphisms fixing its
-        ancestors' vertices has the same certificates, so it is skipped; when
-        the child being explored at depth k turns out to be such a child,
-        the search returns k and resumes there."""
-        cell = self.target_cell(colors)
-        if cell is None:
-            cert = [0] * self.n
-            for v, nbrs in enumerate(self.adj):
-                cert[colors[v]] = sum(1 << colors[u] for u in nbrs)
-            first = leaves.setdefault(tuple(cert), colors)
-            if first is colors:
-                return None
-            # both leaves relabel the graph alike: first^-1 . leaf is an automorphism
-            pos = invert(first)
-            gamma = tuple(pos[c] for c in colors)
-            auts.append(gamma)
-            fixed: list[int] = []
-            for k, (v, done) in enumerate(trail):
-                gens = [a for a in auts if all(a[x] == x for x in fixed)]
-                if not done.isdisjoint(_orbit(v, gens)):
-                    return k
-                if gamma[v] != v:
-                    break  # deeper, gamma is no generator and the others were tried
-                fixed.append(v)
-            return None
-        depth = len(trail)
-        path = [v for v, _ in trail]
-        done: set[int] = set()
-        here = [None, done]
-        trail.append(here)
-        for v in cell:
-            gens = [a for a in auts if all(a[x] == x for x in path)]
-            if gens and not done.isdisjoint(_orbit(v, gens)):
-                continue
-            here[0] = v
-            back = self._canon(self.refine(colors, v), trail, leaves, auts)
-            done.add(v)
-            if back is not None and back < depth:
-                break
-        else:
-            back = None
-        trail.pop()
-        return back
-
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -463,16 +395,6 @@ def brute_force_automorphisms(g: Graph, colors: Sequence[int] | None = None,
 
     extend(0, 0)
     return found
-
-
-def canonical_form(g: Graph, budget: Budget | None = None) -> tuple[int, ...]:
-    """Certificate of g's isomorphism class: the least adjacency bitmask tuple
-    of g relabeled by a leaf of the individualization-refinement tree grown
-    from the uniform coloring.  Refinement, individualization and cell choice
-    commute with relabeling, so isomorphic graphs have the same set of leaf
-    relabelings; the tuple has length n and is the adjacency of a graph
-    isomorphic to g, so equal forms mean isomorphic graphs."""
-    return _Engine(g, (0,) * g.n, budget or Budget()).canonical()
 
 
 def refine(g: Graph, colors: Sequence[int], budget: Budget | None = None) -> tuple[int, ...]:

@@ -47,8 +47,7 @@ from .graphs import (MAX_FAMILY_ORDER, FamilySpec, FamilySpecError, Graph, Graph
                      induced_subgraph, parse_family_spec, parse_graph6)
 from .invariants import (InvariantReport, cost, determining_number,
                          distinguishing_number, invariant_report,
-                         minimum_determining_sets, subset_distinguishing_witness,
-                         subset_is_d_distinguishable)
+                         minimum_determining_sets, subset_distinguishing_witness)
 
 
 class CorpusError(ValueError):
@@ -117,8 +116,7 @@ class _OrbitMarks:
     (0 1 ... n-1), which generate S_n.  Per connected slot, ``sizes`` holds
     the orbit's size and ``rows`` the class's verdict row with the index of
     the graph that computed it, None until the class has been judged in
-    full, with no budget overrun and no truncated search
-    (notes/decisions.md)."""
+    full, with no budget overrun (notes/decisions.md)."""
 
     def __init__(self, n: int):
         pairs = _pairs(n)
@@ -383,7 +381,6 @@ _ORACLE_SAMPLE_STRIDE = 100
 class _Case(NamedTuple):
     """One corpus graph as every bound check sees it."""
     index: int
-    graph: Graph
     ctx: AutContext
     rep: InvariantReport
     mindets: list[tuple[int, ...]]  # minimum determining sets, if a check needs them
@@ -475,7 +472,8 @@ def _check_thm11(c: _Case) -> Verdict:
     labeling = {v: rep.witness_labeling[v] for v in union}
     if not ctx.pointwise_trivial(union):
         return _fail(g6, "constructive witness set does not determine", det_set=union)
-    if not subset_is_d_distinguishable(ctx.graph, union, labeling, ctx=ctx):
+    # union determines, so its labeling is subset-distinguishing iff rigid
+    if not ctx.is_rigid(labeling_colors(rep.n, labeling, 0)):
         return _fail(g6, "constructive witness set not (d-1)-distinguishable",
                      det_set=union, labels=labeling)
     return (True, "widened", None)
@@ -518,34 +516,33 @@ def _engine_oracle(index: int, g: Graph, group: Callable[[], PermGroup]) -> Verd
 
 
 def _check_engine_oracle(c: _Case) -> Verdict:
-    return _engine_oracle(c.index, c.graph, lambda: c.ctx.full)
+    return _engine_oracle(c.index, c.ctx.graph, lambda: c.ctx.full)
 
 
 def _verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts,
-              oracle_only: bool = False) -> tuple[list[Verdict], bool]:
-    """One verdict per check id for the corpus graph at ``index``, and
-    whether they may stand for its class: no budget overrun and no truncated
-    search.  With ``oracle_only``, EngineOracle's verdict alone, for a copy
-    whose class has a row."""
+              oracle_only: bool = False) -> list[Verdict]:
+    """One verdict per check id for the corpus graph at ``index``; a budget
+    overrun makes every verdict ``_BUDGET``.  With ``oracle_only``,
+    EngineOracle's verdict alone, for a copy whose class has a row."""
     if oracle_only:
         group = functools.partial(automorphisms, g, budget=Budget(facts.budget_cap))
-        return [_judged(_engine_oracle, index, g, group)], True
+        return [_judged(_engine_oracle, index, g, group)]
     try:
         ctx = AutContext(g, Budget(facts.budget_cap))
         rep = invariant_report(g, ctx=ctx)
-        mindets, truncated = (minimum_determining_sets(g, ctx=ctx)
-                              if "Thm1.1" in ids or "Cor2.6" in ids else ([], False))
-        case = _Case(index, g, ctx, rep, mindets, facts)
-        return [_REGISTRY[check].run(case) for check in ids], not truncated
+        mindets = (minimum_determining_sets(g, ctx=ctx)[0]
+                   if "Thm1.1" in ids or "Cor2.6" in ids else [])
+        case = _Case(index, ctx, rep, mindets, facts)
+        return [_REGISTRY[check].run(case) for check in ids]
     except BudgetExceededError:
-        return [_BUDGET] * len(ids), False
+        return [_BUDGET] * len(ids)
 
 
 # a graph to judge: its corpus index, its class's slot in the orbit marks
 # (None outside all-connected), the graph, and whether only EngineOracle is
-# asked; judged, it becomes (index, slot, oracle only, verdicts, complete)
+# asked; judged, it becomes (index, slot, oracle only, verdicts)
 _Job = tuple[int, int | None, Graph, bool]
-_Judged = tuple[int, int | None, bool, list[Verdict], bool]
+_Judged = tuple[int, int | None, bool, list[Verdict]]
 
 # the per-run facts of one pool worker, set by the pool's initializer; each
 # pool starts fresh workers, so they live for one run
@@ -559,8 +556,8 @@ def _init_worker(budget_cap: int) -> None:
 
 def _bound_worker(task: tuple[int, int | None, str, tuple[str, ...], bool]) -> _Judged:
     index, slot, g6, ids, oracle_only = task
-    return (index, slot, oracle_only,
-            *_verdicts(index, parse_graph6(g6), ids, _worker_facts, oracle_only))
+    g = parse_graph6(g6)
+    return index, slot, oracle_only, _verdicts(index, g, ids, _worker_facts, oracle_only)
 
 
 @contextlib.contextmanager
@@ -570,7 +567,7 @@ def _judging(ids: tuple[str, ...], facts: _Facts,
     or in a pool of at most one worker per CPU that is sent graph6 text."""
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
-        yield lambda todo: ((i, slot, only, *_verdicts(i, g, ids, facts, only))
+        yield lambda todo: ((i, slot, only, _verdicts(i, g, ids, facts, only))
                             for i, slot, g, only in todo)
         return
     with multiprocessing.Pool(workers, initializer=_init_worker,
@@ -603,12 +600,11 @@ def _order_pass(n: int, start: int, ids: tuple[str, ...], facts: _Facts,
             elif sampled(index):
                 yield index, slot, _mask_graph(n, mask), True
 
-    def take(index: int, slot: int, oracle_only: bool, verdicts: list[Verdict],
-             complete: bool) -> None:
+    def take(index: int, slot: int, oracle_only: bool, verdicts: list[Verdict]) -> None:
         if not oracle_only:
             for tally, v in zip(tallies, verdicts):
                 tally.add(v, index)
-            if complete:
+            if _BUDGET not in verdicts:  # an overrun makes every verdict _BUDGET
                 marks.rows[slot] = (index, verdicts)
         elif marks.rows[slot] is not None:  # otherwise the copy is judged in full below
             tallies[eo].add(verdicts[0], index)
@@ -626,12 +622,12 @@ def _order_pass(n: int, start: int, ids: tuple[str, ...], facts: _Facts,
                 met.add(slot)
                 copies[slot] = 0
             elif marks.rows[slot] is None:
-                take(index, slot, False, *_verdicts(index, _mask_graph(n, mask), ids, facts))
+                take(index, slot, False, _verdicts(index, _mask_graph(n, mask), ids, facts))
             else:
                 copies[slot] += 1
                 if sampled(index):
                     g = _mask_graph(n, mask)
-                    take(index, slot, True, *_verdicts(index, g, ids, facts, True))
+                    take(index, slot, True, _verdicts(index, g, ids, facts, True))
     # every copy not judged on its own reuses its class's row; its
     # EngineOracle verdict is its own, tallied above or unmet
     for slot, row in enumerate(marks.rows):
@@ -658,8 +654,8 @@ def _run_bound_checks(ids: Sequence[str], corpus_spec: str, facts: _Facts,
             for n in orders:
                 checked += _order_pass(n, checked, ids, facts, tallies, judge)
             return tallies, checked
-        for index, _, _, verdicts, _ in judge((i, None, g, False)
-                                              for i, g in enumerate(corpus(corpus_spec))):
+        for index, _, _, verdicts in judge((i, None, g, False)
+                                           for i, g in enumerate(corpus(corpus_spec))):
             for tally, v in zip(tallies, verdicts):
                 tally.add(v, index)
             checked += 1

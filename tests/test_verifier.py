@@ -206,15 +206,14 @@ def test_all_connected_pass_searches_each_class_once(monkeypatch):
 
 def test_orbit_marks_match_canonical_form():
     # streaming every edge mask of order n <= 5 marks every mask; two
-    # connected masks share a slot iff their canonical forms agree, and each
-    # order's slots cover exactly its labeled connected graphs (disconnected
-    # orbits get the sentinel)
+    # connected masks share a slot iff their brute-force canonical forms
+    # agree, and each order's slots cover exactly its labeled connected graphs
+    # (disconnected orbits get the sentinel)
     import symlab.verifier as verifier
-    from symlab.aut import canonical_form
     pairs, marked = set(), {}
     for n in range(1, 6):
         marks = verifier._OrbitMarks(n)
-        pairs |= {(canonical_form(verifier._mask_graph(n, mask)), (n, slot))
+        pairs |= {(_oracles.brute_canonical(verifier._mask_graph(n, mask)), (n, slot))
                   for mask, slot, _ in marks.stream()}
         assert all(marks.table)
         marked[n] = sum(1 for slot in marks.table if slot != verifier._DISCONNECTED)
@@ -378,7 +377,7 @@ def test_cached_verdicts_equal_uncached(tmp_path):
     assert all(r.graphs_checked == 772 for r in cached)
 
 
-def test_thm11_widening_is_used(tmp_path):
+def test_thm11_widening_is_used(tmp_path, monkeypatch):
     # a double star: every minimum determining set (one leaf per side) is
     # swapped setwise by the central flip, so the check must fall back to the
     # constructive witness and still verify
@@ -387,6 +386,18 @@ def test_thm11_widening_is_used(tmp_path):
     rep = run_check("Thm1.1", f"file:{p}")
     assert rep.status == "verified"
     assert rep.notes and "constructive witness" in rep.notes
+    # the fallback's witness set determines, so one rigidity query tells
+    # whether its labeling distinguishes it: no colored group is built
+    import symlab as sl
+    import symlab.verifier as verifier
+    g = sl.parse_graph6("Eia?")
+    facts = verifier._Facts(verifier.DEFAULT_NODE_BUDGET)
+    ctx = sl.AutContext(g, sl.Budget())
+    case = verifier._Case(0, ctx, sl.invariant_report(g, ctx=ctx),
+                          sl.minimum_determining_sets(g, ctx=ctx)[0], facts)
+    groups = _count_calls(monkeypatch, sl.AutContext, "group")
+    assert verifier._check_thm11(case) == (True, "widened", None)
+    assert groups == []
 
 
 def test_report_dict_shape():
