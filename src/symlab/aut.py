@@ -257,47 +257,61 @@ class _Engine:
 
     # -- complete search for one mapping between two configurations -----------
 
-    def _find_iso(self, left: list[int], right: list[int]) -> Perm | None:
-        if self.shape(left) != self.shape(right):
+    def _find_iso(self, depth: int, right: list[int]) -> Perm | None:
+        """An automorphism taking the first path's coloring at ``depth`` to
+        ``right``, or None; only the right side is refined."""
+        left, shape, cell = self.path[depth]
+        if shape != self.shape(right):
             return None
-        cell = self.target_cell(left)
         if cell is None:
             pos = {c: v for v, c in enumerate(right)}
             sigma = tuple(pos[c] for c in left)
             return sigma if _is_automorphism(self.bits, self.root, sigma) else None
         color = left[cell[0]]
-        sub_left = self.refine(left, cell[0])
         for w in (v for v in range(self.n) if right[v] == color):
-            sub_right = self.refine(right, w)
-            found = self._find_iso(sub_left, sub_right)
+            found = self._find_iso(depth + 1, self.refine(right, w))
             if found is not None:
                 return found
         return None
 
     # -- group computation along the first-path stabilizer chain --------------
 
+    def _first_path(self) -> list[tuple[list[int], tuple[int, ...], list[int] | None]]:
+        """The refined root coloring, then the refinement after individualizing
+        the first vertex of each target cell, down to a discrete coloring:
+        (coloring, shape, target cell) per depth."""
+        path = []
+        colors = self.refine(self.root)
+        while True:
+            cell = self.target_cell(colors)
+            path.append((colors, self.shape(colors), cell))
+            if cell is None:
+                return path
+            colors = self.refine(colors, cell[0])
+
     def group(self) -> PermGroup:
-        gens, levels = self._group_of(self.refine(self.root))
+        self.path = self._first_path()
+        gens, levels = self._group_of(0)
         return PermGroup(self.n, tuple(gens), _orbit_partition(self.n, gens),
                          tuple(tuple(t.values()) for t in levels))
 
-    def _group_of(self, colors: list[int], first: bool = False) -> tuple[list[Perm], list[dict]]:
-        """Generators of the group fixing ``colors`` and its transversals, top
-        level first; with ``first``, return as soon as one generator is found
-        (the transversals are then incomplete)."""
-        cell = self.target_cell(colors)
+    def _group_of(self, depth: int, first: bool = False) -> tuple[list[Perm], list[dict]]:
+        """Generators of the group fixing the first path's coloring at
+        ``depth`` and its transversals, top level first; with ``first``,
+        return as soon as one generator is found (the transversals are then
+        incomplete)."""
+        colors, _, cell = self.path[depth]
         if cell is None:
             return [], []
         beta = cell[0]
-        sub = self.refine(colors, beta)
-        gens, levels = self._group_of(sub, first)
+        gens, levels = self._group_of(depth + 1, first)
         if first and gens:
             return gens, levels
         trans = _transversal(self.n, beta, gens)
         for v in cell[1:]:
             if v in trans:
                 continue
-            sigma = self._find_iso(sub, self.refine(colors, v))
+            sigma = self._find_iso(depth + 1, self.refine(colors, v))
             if sigma is not None:
                 gens.append(sigma)
                 if first:
@@ -307,7 +321,8 @@ class _Engine:
 
     def first_nontrivial(self) -> Perm | None:
         """Cheapest witness that the colored group is nontrivial, else None."""
-        gens, _ = self._group_of(self.refine(self.root), first=True)
+        self.path = self._first_path()
+        gens, _ = self._group_of(0, first=True)
         return gens[0] if gens else None
 
 

@@ -62,6 +62,19 @@ class Graph:
     def adj_bits(self) -> tuple[int, ...]:
         return tuple(sum(1 << u for u in s) for s in self.adj)
 
+    @cached_property
+    def swap_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal sets of at least two vertices that share their open,
+        or their closed, neighborhood, each sorted, in order of their least
+        vertex.  Every transposition inside one is an automorphism.  No vertex
+        is in two: an open partner w of v is not adjacent to v, while a
+        closed partner of v is adjacent to v and so to w."""
+        by_nbhd: dict[int, list[int]] = {}
+        for v, b in enumerate(self.adj_bits):
+            by_nbhd.setdefault(b, []).append(v)
+            by_nbhd.setdefault(b | 1 << v, []).append(v)
+        return tuple(sorted(tuple(c) for c in by_nbhd.values() if len(c) > 1))
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -35,6 +35,15 @@ lex-least minimum determining set S reachable:
   h^-1(S) would be a determining set of the same size containing P and u,
   so lexicographically smaller than S.
 
+Swap classes (``Graph.swap_classes``) give all three searches lower bounds,
+since swapping two vertices of one class is an automorphism: a
+distinguishing labeling gives a class's vertices distinct labels, and a
+determining set leaves out at most one of them.  So D starts at the largest
+class, det at the sum of the class sizes less one each, a det prefix stops
+growing once it has passed over two vertices of one class, and the cost
+search tries only classes that can hold one label (notes/decisions.md,
+"Swap classes bound D, det and ρ").
+
 Sets and prefixes are visited in lexicographic order, making every reported
 witness reproducible.
 """
@@ -116,18 +125,15 @@ class _LexBuckets:
             self.waiting[key].pop()
 
 
-def _swaps(bits: Sequence[int]) -> list[list[int]]:
-    """Per vertex v, its swap partners: the vertices w with v's neighbors
-    besides each other, so that swapping v and w is an automorphism.  They
-    are the other vertices with v's neighborhood or those with v's closed
-    neighborhood, whichever are more; a vertex cannot have partners of both
-    kinds."""
-    classes: dict[int, list[int]] = {}
-    for v, b in enumerate(bits):
-        classes.setdefault(b, []).append(v)
-        classes.setdefault(b | 1 << v, []).append(v)
-    return [[w for w in max(classes[b], classes[b | 1 << v], key=len) if w != v]
-            for v, b in enumerate(bits)]
+def _swaps(g: Graph) -> list[tuple[int, ...]]:
+    """Per vertex v, its swap partners: the other vertices of its swap class
+    (``Graph.swap_classes``), so that swapping v and any of them is an
+    automorphism."""
+    partners: list[tuple[int, ...]] = [()] * g.n
+    for cls in g.swap_classes:
+        for v in cls:
+            partners[v] = tuple(w for w in cls if w != v)
+    return partners
 
 
 class _LabelSearch:
@@ -140,7 +146,9 @@ class _LabelSearch:
         self.order = order
         self.pool = pool
         self.lex = lex
-        self.swaps = _swaps(ctx.graph.adj_bits)
+        self.swaps = _swaps(ctx.graph)
+        # placed[lab]: the vertices placed so far with label lab, in order
+        self.placed: list[list[int]] = [[] for _ in range(pool + 1)]
         # later[i]: the vertices placed after order[i], as a bitmask
         self.later = [0] * len(order)
         for i in range(len(order) - 1, 0, -1):
@@ -154,11 +162,12 @@ class _LabelSearch:
     def _has_twin(self, i: int) -> bool:
         # some vertex placed before order[i] has its label and its neighbors
         # among the vertices placed after it (notes/decisions.md, "Coset
-        # tables, twins, swaps and known automorphisms")
-        v, labels, bits = self.order[i], self.labels, self.ctx.graph.adj_bits
+        # tables, twins, swaps and known automorphisms"); order[i] is the
+        # last vertex placed with its label
+        v, bits = self.order[i], self.ctx.graph.adj_bits
         later = self.later[i]
         mine = bits[v] & later
-        return any(labels[w] == labels[v] and bits[w] & later == mine for w in self.order[:i])
+        return any(bits[w] & later == mine for w in self.placed[self.labels[v]][:-1])
 
     def run(self, start: int, used: int, root: bool = False) -> list[int] | None:
         """Search below the labels of order[:start].  Below the ``root`` the
@@ -188,10 +197,14 @@ class _LabelSearch:
             v = todo[0]
             partners = self.swaps[v]
             for lab in range(1, min(used + 1, self.pool) + 1):
-                labels[v] = lab
                 # a swap of v with a partner of its label keeps the labels: a dead end
-                found = (None if partners and any(labels[w] == lab for w in partners)
-                         else self.run(start + 1, max(used, lab)))
+                if partners and any(labels[w] == lab for w in partners):
+                    continue
+                labels[v] = lab
+                placed = self.placed[lab]
+                placed.append(v)
+                found = self.run(start + 1, max(used, lab))
+                placed.pop()
                 labels[v] = 0
                 if found is not None:
                     return found
@@ -219,11 +232,13 @@ def _search(ctx: AutContext, pool: int, cls: Sequence[int] = ()) -> list[int] | 
 # ---------------------------------------------------------------------------
 
 def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
-    """Least d admitting a distinguishing d-labeling, with a witness labeling."""
+    """Least d admitting a distinguishing d-labeling, with a witness labeling.
+    The pools below the largest swap class, which needs a label per vertex,
+    are not tried."""
     ctx = ctx or AutContext(g)
     if ctx.full.order == 1:
         return 1, (1,) * g.n
-    for d in range(2, g.n + 1):
+    for d in range(max(map(len, g.swap_classes), default=2), g.n + 1):
         got = _search(ctx, d)
         if got is not None:
             if max(got) != d:
@@ -232,20 +247,58 @@ def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int,
     raise AssertionError("all-distinct labeling must distinguish")
 
 
-def _class_candidates(ctx: AutContext, k: int) -> Iterator[tuple[int, ...]]:
-    # the lex-least k-set of each Aut(G)-orbit, in lexicographic order; seen
-    # sets are stored as vertex bitmasks, which take far less memory than
-    # frozensets (C(16, 5) of them on Q_4)
-    n = ctx.graph.n
+def _feasible_classes(g: Graph, k: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The k-sets that hold at most one vertex of each swap class and exactly
+    one of each swap class of size d, in lexicographic order: only these can
+    take one label of a distinguishing d-labeling."""
+    of = [-1] * g.n
+    for i, cls in enumerate(g.swap_classes):
+        for v in cls:
+            of[v] = i
+    # each swap class of size d by its last vertex, to be hit by then
+    due = {i: cls[-1] for i, cls in enumerate(g.swap_classes) if len(cls) == d}
+    chosen: list[int] = []
+
+    def extend(start: int, hit: int) -> Iterator[tuple[int, ...]]:
+        left = k - len(chosen)
+        owed = [last for i, last in due.items() if not hit >> i & 1]
+        if len(owed) > left:
+            return
+        if left == 0:
+            yield tuple(chosen)
+            return
+        # a vertex past an owed class's last one would skip that class
+        for v in range(start, min([g.n - left, *owed]) + 1):
+            i = of[v]
+            if i >= 0 and hit >> i & 1:
+                continue
+            chosen.append(v)
+            yield from extend(v + 1, hit if i < 0 else hit | 1 << i)
+            chosen.pop()
+
+    return extend(0, 0)
+
+
+def _class_candidates(ctx: AutContext, k: int, d: int) -> Iterator[tuple[int, ...]]:
+    # the lex-least k-set of each Aut(G)-orbit that can be the class labeled
+    # d (``_feasible_classes``), in lexicographic order; seen sets are stored
+    # as vertex bitmasks, which take far less memory than frozensets (C(16, 5)
+    # of them on Q_4)
+    g = ctx.graph
     if not ctx.full.is_trivial:
         seen: set[int] = set()
-        for comb in itertools.combinations(range(n), k):
+        # without swap classes the feasible k-sets are all of them, which
+        # itertools makes about 10x faster than the walk (notes/decisions.md,
+        # "Swap classes bound D, det and ρ")
+        combs = (_feasible_classes(g, k, d) if g.swap_classes
+                 else itertools.combinations(range(g.n), k))
+        for comb in combs:
             if sum(1 << v for v in comb) in seen:
                 continue
             seen.update(sum(1 << v for v in s) for s in ctx.subset_orbit(comb))
             yield comb
     else:
-        yield from itertools.combinations(range(n), k)
+        yield from itertools.combinations(range(g.n), k)
 
 
 def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
@@ -263,7 +316,7 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
             raise AssertionError(
                 f"cost search passed the n - determining-number cutoff ({n - det_hint})"
             )
-        for cls in _class_candidates(ctx, k):
+        for cls in _class_candidates(ctx, k, d):
             got = _search(ctx, d - 1, cls)
             if got is not None:
                 if max(got) != d or len(set(got)) != d:
@@ -279,11 +332,18 @@ def _base_search(ctx: AutContext, branches: dict[tuple[int, ...], list[int]],
     # ctx in a reference cycle after the search returns
     exts = branches.get(prefix)
     if exts is None:
-        group = ctx.group(pointwise_colors(ctx.graph.n, prefix)) if prefix else ctx.full
+        g = ctx.graph
+        group = ctx.group(pointwise_colors(g.n, prefix)) if prefix else ctx.full
         low = prefix[-1] if prefix else -1
+        # an extension by v leaves out every vertex below v outside the
+        # prefix; past the second such vertex of one swap class, it leaves
+        # out two, whose swap fixes the set pointwise, and so does every
+        # larger v: the extensions stop there
+        left_out = ([u for u in cls if u not in prefix] for cls in g.swap_classes)
+        high = min((out[1] for out in left_out if len(out) > 1), default=g.n)
         # orbits are sorted tuples, so orbit[0] is the least point of each
         exts = branches[prefix] = sorted(orbit[0] for orbit in group.orbits
-                                         if len(orbit) > 1 and orbit[0] > low)
+                                         if len(orbit) > 1 and low < orbit[0] <= high)
     for v in exts:
         ext = prefix + (v,)
         if todo == 1:
@@ -308,7 +368,8 @@ def determining_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tu
     if ctx.full.order == 1:
         return 0, ()
     branches: dict[tuple[int, ...], list[int]] = {}
-    for k in range(1, g.n + 1):
+    # a determining set leaves out at most one vertex of each swap class
+    for k in range(max(1, sum(len(cls) - 1 for cls in g.swap_classes)), g.n + 1):
         found = _base_search(ctx, branches, (), k)
         if found is not None:
             return k, found
@@ -320,16 +381,22 @@ def is_determining_set(g: Graph, vertices: Iterable[int], ctx: AutContext | None
     return (ctx or AutContext(g)).pointwise_trivial(vertices)
 
 
-def minimum_determining_sets(g: Graph, cap: int = 1000, ctx: AutContext | None = None
-                             ) -> tuple[list[tuple[int, ...]], bool]:
+def minimum_determining_sets(g: Graph, cap: int = 1000, ctx: AutContext | None = None,
+                             det: int | None = None) -> tuple[list[tuple[int, ...]], bool]:
     """All minimum determining sets in lexicographic order, up to ``cap``;
-    the flag reports truncation."""
+    the flag reports truncation.  ``det`` is the graph's determining number,
+    computed when not given."""
     ctx = ctx or AutContext(g)
-    k, _ = determining_number(g, ctx=ctx)
+    k = determining_number(g, ctx=ctx)[0] if det is None else det
     if k == 0:
         return [()], False
     found: list[tuple[int, ...]] = []
+    # a set that leaves out two vertices of one swap class does not determine
+    classes = [sum(1 << v for v in cls) for cls in g.swap_classes]
     for comb in itertools.combinations(range(g.n), k):
+        kept = sum(1 << v for v in comb)
+        if any((cls & ~kept).bit_count() > 1 for cls in classes):
+            continue
         if ctx.pointwise_trivial(comb):
             if len(found) == cap:
                 return found, True

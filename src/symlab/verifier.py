@@ -530,7 +530,7 @@ def _verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts,
     try:
         ctx = AutContext(g, Budget(facts.budget_cap))
         rep = invariant_report(g, ctx=ctx)
-        mindets = (minimum_determining_sets(g, ctx=ctx)[0]
+        mindets = (minimum_determining_sets(g, ctx=ctx, det=rep.determining_number)[0]
                    if "Thm1.1" in ids or "Cor2.6" in ids else [])
         case = _Case(index, ctx, rep, mindets, facts)
         return [_REGISTRY[check].run(case) for check in ids]

@@ -270,19 +270,19 @@ def test_brute_force_matches_permutation_filter_colored():
 # are the counts pinned when the case was added (the second one that of a
 # canonical-form search since removed); the current count follows it.
 _SEARCH_EFFORT = [pytest.param(spec, report, id=case) for case, spec, report in [
-    ("friendship:5-819-35", "friendship:5", 250),
-    ("hypercube:3-187-10", "hypercube:3", 79),
-    ("hypercube:4-418-15", "hypercube:4", 192),
-    ("cycle:12-118-6", "cycle:12", 73),
-    ("corona:(path:3),(complete:2)-410-15", "corona:(path:3),(complete:2)", 201),
-    ("complete_bipartite:5,5-1038-53", "complete_bipartite:5,5", 559),
-    ("star:10-1708-55", "star:10", 479),
+    ("friendship:5-819-35", "friendship:5", 203),
+    ("hypercube:3-187-10", "hypercube:3", 75),
+    ("hypercube:4-418-15", "hypercube:4", 181),
+    ("cycle:12-118-6", "cycle:12", 72),
+    ("corona:(path:3),(complete:2)-410-15", "corona:(path:3),(complete:2)", 73),
+    ("complete_bipartite:5,5-1038-53", "complete_bipartite:5,5", 212),
+    ("star:10-1708-55", "star:10", 253),
     # "spec@1": the graph under the vertex relabeling drawn with key 1, as
     # the labeling search's effort depends on the vertex labeling
-    ("friendship:6@1-7461-28", "friendship:6@1", 1375),
-    ("hypercube:3@1-208-10", "hypercube:3@1", 82),
-    ("cycle:12@1-75-10", "cycle:12@1", 57),
-    ("corona:(path:3),(complete:2)@1-305-15", "corona:(path:3),(complete:2)@1", 156),
+    ("friendship:6@1-7461-28", "friendship:6@1", 1332),
+    ("hypercube:3@1-208-10", "hypercube:3@1", 78),
+    ("cycle:12@1-75-10", "cycle:12@1", 54),
+    ("corona:(path:3),(complete:2)@1-305-15", "corona:(path:3),(complete:2)@1", 48),
 ]]
 
 

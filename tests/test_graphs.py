@@ -132,6 +132,33 @@ def test_connectivity():
     assert from_edge_list(1, []).is_connected()
 
 
+def test_swap_classes_hold_exactly_the_transpositions_of_the_group(rng):
+    # a transposition is an automorphism iff its two vertices share their
+    # open or their closed neighborhood, so the classes hold every pair the
+    # brute-force group swaps (maximal) and only such pairs
+    graphs = [_oracles.random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(120)]
+    graphs += [star(6), friendship(3), complete_bipartite(3, 4), complete(5),
+               corona(path(2), complete(2)), from_edge_list(4, [])]
+    for g in graphs:
+        auts = set(_oracles.brute_aut(g))
+        swapped = set()
+        for v, w in itertools.combinations(range(g.n), 2):
+            sigma = list(range(g.n))
+            sigma[v], sigma[w] = w, v
+            if tuple(sigma) in auts:
+                swapped.add((v, w))
+        classes = g.swap_classes
+        assert {pair for cls in classes for pair in itertools.combinations(cls, 2)} == swapped
+        members = [v for cls in classes for v in cls]
+        assert len(members) == len(set(members))
+        assert all(len(cls) > 1 and list(cls) == sorted(cls) for cls in classes)
+        assert list(classes) == sorted(classes)
+    assert star(6).swap_classes == ((1, 2, 3, 4, 5, 6),)
+    assert complete(5).swap_classes == ((0, 1, 2, 3, 4),)
+    assert path(4).swap_classes == ()
+
+
 # ---------------------------------------------------------------------------
 # graph6
 # ---------------------------------------------------------------------------

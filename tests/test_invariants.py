@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -111,6 +112,38 @@ def test_minimum_determining_sets():
     assert sets == [()] and not truncated
     sets, truncated = minimum_determining_sets(complete(4), cap=2)
     assert len(sets) == 2 and truncated
+
+
+def test_feasible_classes_are_the_filtered_k_sets(rng):
+    # the generated candidate classes are the k-sets, in lexicographic order,
+    # that hold at most one vertex of each swap class and exactly one of
+    # each swap class of size d
+    from symlab.invariants import _feasible_classes
+    graphs = [_oracles.random_graph(rng, rng.randint(2, 9), rng.choice((0.1, 0.3, 0.7, 0.9)))
+              for _ in range(80)]
+    for g in graphs + [star(6), friendship(3), corona(path(3), complete(2))]:
+        classes = [set(cls) for cls in g.swap_classes]
+        for d in range(max(map(len, classes), default=2), g.n + 1):
+            for k in range(g.n + 1):
+                want = [s for s in itertools.combinations(range(g.n), k)
+                        if all(len(cls.intersection(s)) <= 1 for cls in classes)
+                        and all(len(cls.intersection(s)) == 1 for cls in classes
+                                if len(cls) == d)]
+                assert list(_feasible_classes(g, k, d)) == want, (g.adj, k, d)
+
+
+def test_minimum_determining_sets_equal_the_flat_scan(rng):
+    # skipping the sets that leave out two vertices of one swap class, and
+    # taking det from the caller, lists the same sets as testing every k-set
+    graphs = [_oracles.random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(120)]
+    graphs += [star(7), friendship(3), complete(6), corona(path(2), complete(3))]
+    for g in graphs:
+        ctx = AutContext(g)
+        k = determining_number(g, ctx=ctx)[0]
+        flat = [s for s in itertools.combinations(range(g.n), k) if ctx.pointwise_trivial(s)]
+        assert minimum_determining_sets(g, ctx=ctx) == (flat, False)
+        assert minimum_determining_sets(g, cap=3, ctx=ctx, det=k) == (flat[:3], len(flat) > 3)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +360,12 @@ def test_cost_det_hint_never_cuts():
         assert plain == hinted
 
 
-def _d_and_cost(g):
+def _searches(g):
+    # D, rho and det with their witnesses, and the budget they spent
     budget = Budget()
     ctx = AutContext(g, budget)
     d, witness = distinguishing_number(g, ctx=ctx)
-    return (d, witness, cost(g, d=d, ctx=ctx)), budget.used
+    return (d, witness, cost(g, d=d, ctx=ctx), determining_number(g, ctx=ctx)), budget.used
 
 
 class _Forgetful(list):
@@ -356,16 +390,18 @@ def _prune_corpus(rng):
 
 
 def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
-    # the coset-table orbit prune, the twin and swap tests and the context's
-    # known automorphisms only skip work: with no tables, no swaps and an
-    # engine query at every node, D, rho and both witnesses are the same
-    # (notes/decisions.md, "Coset tables, twins, swaps and known automorphisms")
-    from symlab import aut, invariants
+    # the coset-table orbit prune, the twin and swap tests, the context's
+    # known automorphisms and the swap-class bounds only skip work: with no
+    # tables, no swap classes and an engine query at every node, D, rho, det
+    # and their witnesses are the same (notes/decisions.md, "Coset tables,
+    # twins, swaps and known automorphisms" and "Swap classes bound D, det
+    # and ρ")
+    from symlab import Graph, aut, invariants
     graphs = _prune_corpus(rng)
-    pruned = [_d_and_cost(g) for g in graphs]
+    pruned = [_searches(g) for g in graphs]
     monkeypatch.setattr(invariants, "_lex_tables", lambda ctx, fixed: [])
     monkeypatch.setattr(invariants._LabelSearch, "_has_twin", lambda self, i: True)
-    monkeypatch.setattr(invariants, "_swaps", lambda bits: [[] for _ in bits])
+    monkeypatch.setattr(Graph, "swap_classes", ())
     init = aut.AutContext.__init__
 
     def forgetful_init(self, *args, **kwargs):
@@ -373,7 +409,8 @@ def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
         self._known = _Forgetful()
 
     monkeypatch.setattr(aut.AutContext, "__init__", forgetful_init)
-    unpruned = [_d_and_cost(g) for g in graphs]
+    # copies, as the graphs above keep the swap classes they computed
+    unpruned = [_searches(Graph(g.n, g.adj)) for g in graphs]
     assert [got for got, _ in unpruned] == [got for got, _ in pruned]
     # the prunes were in force
     assert sum(used for _, used in unpruned) > sum(used for _, used in pruned)
@@ -386,7 +423,7 @@ def test_lex_buckets_reject_what_the_full_scan_rejects(rng, monkeypatch):
     # swaps and known automorphisms")
     from symlab import invariants
     graphs = _prune_corpus(rng)
-    bucketed = [_d_and_cost(g) for g in graphs]
+    bucketed = [_searches(g) for g in graphs]
     tables = []
 
     def full_scan(order, start, ts):
@@ -394,7 +431,7 @@ def test_lex_buckets_reject_what_the_full_scan_rejects(rng, monkeypatch):
         return _oracles.FullScanLex(order, start, ts)
 
     monkeypatch.setattr(invariants, "_LexBuckets", full_scan)
-    assert [_d_and_cost(g) for g in graphs] == bucketed
+    assert [_searches(g) for g in graphs] == bucketed
     assert tables  # the full scan was in force
 
 
@@ -426,8 +463,9 @@ def test_context_never_refinds_an_automorphism(monkeypatch):
 def test_remembered_answers_spend_the_budget(monkeypatch):
     # a query answered by an automorphism the context found spends one node,
     # so the budget bounds the number of queries, not only the searches: the
-    # determining-set scan on friendship:8 makes about 24,000 queries, most
-    # answered that way, with fewer than 1,000 refinements
+    # determining-set scan on hypercube:5 makes 4,100 queries, 3,088 of them
+    # answered that way, and its set-up and scan spend 4,220 nodes, but
+    # 1,132 if those answers were free
     from symlab import aut
     calls = [0]
     first_nontrivial = AutContext.first_nontrivial
@@ -437,7 +475,7 @@ def test_remembered_answers_spend_the_budget(monkeypatch):
         return first_nontrivial(self, colors)
 
     monkeypatch.setattr(AutContext, "first_nontrivial", counted)
-    g = friendship(8)
+    g = hypercube(5)
     budget = Budget()
     ctx = AutContext(g, budget)
     setup = budget.used

@@ -1,5 +1,6 @@
 """The package holds no dead code: every module-level function and class of
-``src/symlab`` is used somewhere in the package or exported."""
+``src/symlab`` is used somewhere in the package or exported.  Importing it
+does no work beyond defining its names."""
 
 import ast
 from pathlib import Path
@@ -23,3 +24,42 @@ def test_every_module_level_definition_is_used_or_exported():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and node.name not in kept]
     assert unused == []
+
+
+# the calls allowed to run when the package is imported: class declarations
+# (``dataclass``, ``dataclasses.field``), the check registry (``CheckDef``,
+# ``functools.partial``) and the text of one constant (``list``)
+_IMPORT_TIME_CALLS = {"dataclass", "dataclasses.field", "CheckDef", "functools.partial", "list"}
+
+
+def _import_time_calls(node: ast.AST):
+    """The calls under ``node`` that run when its module is imported: all but
+    those in function and lambda bodies and under the ``__main__`` guard.
+    Decorators and default values run at import, so they are included."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for sub in [*node.decorator_list, *node.args.defaults, *node.args.kw_defaults]:
+            if sub is not None:
+                yield from _import_time_calls(sub)
+        return
+    if isinstance(node, ast.Lambda):
+        for sub in [*node.args.defaults, *node.args.kw_defaults]:
+            if sub is not None:
+                yield from _import_time_calls(sub)
+        return
+    if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+        yield from (c for sub in node.orelse for c in _import_time_calls(sub))
+        return
+    if isinstance(node, ast.Call):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _import_time_calls(child)
+
+
+def test_importing_the_package_does_no_work():
+    # importing symlab and building graphs run no search and no set-up: a
+    # module-level call outside the list above is work at import time
+    found = [f"{p.name}:{call.lineno}: {ast.unparse(call.func)}"
+             for p in sorted(SRC.glob("*.py"))
+             for call in _import_time_calls(ast.parse(p.read_text(encoding="utf-8")))
+             if ast.unparse(call.func) not in _IMPORT_TIME_CALLS]
+    assert found == []
