@@ -427,7 +427,8 @@ class AutContext:
     """One graph's full automorphism group, kept, the nontrivial automorphisms
     its colored queries have found, and a node budget that every query spends.
     A query whose colors a found automorphism keeps is answered by it, without
-    a search, for one node (``notes/decisions.md``, "Known automorphisms")."""
+    a search, for one node (``notes/decisions.md``, "Coset tables, twins,
+    swaps and known automorphisms")."""
 
     def __init__(self, graph: Graph, budget: Budget | None = None):
         self.graph = graph

@@ -39,10 +39,13 @@ Swap classes (``Graph.swap_classes``) give all three searches lower bounds,
 since swapping two vertices of one class is an automorphism: a
 distinguishing labeling gives a class's vertices distinct labels, and a
 determining set leaves out at most one of them.  So D starts at the largest
-class, det at the sum of the class sizes less one each, a det prefix stops
-growing once it has passed over two vertices of one class, and the cost
-search tries only classes that can hold one label (notes/decisions.md,
-"Swap classes bound D, det and ρ").
+class, det at the sum of the class sizes less one each, and a det prefix
+stops growing once it has passed over two vertices of one class.  A class
+labeled D holds at most one vertex of each swap class and one of each of
+size D; swapping in the least member of a class keeps it in its orbit, so
+the cost search tries only sets of least members and classless vertices
+that cover every class of size D (notes/decisions.md, "Swap classes bound
+D, det and ρ").
 
 Sets and prefixes are visited in lexicographic order, making every reported
 witness reproducible.
@@ -247,58 +250,22 @@ def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int,
     raise AssertionError("all-distinct labeling must distinguish")
 
 
-def _feasible_classes(g: Graph, k: int, d: int) -> Iterator[tuple[int, ...]]:
-    """The k-sets that hold at most one vertex of each swap class and exactly
-    one of each swap class of size d, in lexicographic order: only these can
-    take one label of a distinguishing d-labeling."""
-    of = [-1] * g.n
-    for i, cls in enumerate(g.swap_classes):
-        for v in cls:
-            of[v] = i
-    # each swap class of size d by its last vertex, to be hit by then
-    due = {i: cls[-1] for i, cls in enumerate(g.swap_classes) if len(cls) == d}
-    chosen: list[int] = []
-
-    def extend(start: int, hit: int) -> Iterator[tuple[int, ...]]:
-        left = k - len(chosen)
-        owed = [last for i, last in due.items() if not hit >> i & 1]
-        if len(owed) > left:
-            return
-        if left == 0:
-            yield tuple(chosen)
-            return
-        # a vertex past an owed class's last one would skip that class
-        for v in range(start, min([g.n - left, *owed]) + 1):
-            i = of[v]
-            if i >= 0 and hit >> i & 1:
-                continue
-            chosen.append(v)
-            yield from extend(v + 1, hit if i < 0 else hit | 1 << i)
-            chosen.pop()
-
-    return extend(0, 0)
-
-
 def _class_candidates(ctx: AutContext, k: int, d: int) -> Iterator[tuple[int, ...]]:
     # the lex-least k-set of each Aut(G)-orbit that can be the class labeled
-    # d (``_feasible_classes``), in lexicographic order; seen sets are stored
-    # as vertex bitmasks, which take far less memory than frozensets (C(16, 5)
-    # of them on Q_4)
+    # d, in lexicographic order: it holds only the least vertex of a swap
+    # class or vertices in none, and the least of each class of size d (module
+    # docstring).  Seen sets are vertex bitmasks, which take far less memory
+    # than frozensets (C(16, 5) of them on Q_4)
     g = ctx.graph
-    if not ctx.full.is_trivial:
-        seen: set[int] = set()
-        # without swap classes the feasible k-sets are all of them, which
-        # itertools makes about 10x faster than the walk (notes/decisions.md,
-        # "Swap classes bound D, det and ρ")
-        combs = (_feasible_classes(g, k, d) if g.swap_classes
-                 else itertools.combinations(range(g.n), k))
-        for comb in combs:
-            if sum(1 << v for v in comb) in seen:
-                continue
-            seen.update(sum(1 << v for v in s) for s in ctx.subset_orbit(comb))
-            yield comb
-    else:
-        yield from itertools.combinations(range(g.n), k)
+    later = {v for cls in g.swap_classes for v in cls[1:]}
+    due = sum(1 << cls[0] for cls in g.swap_classes if len(cls) == d)
+    seen: set[int] = set()
+    for comb in itertools.combinations([v for v in range(g.n) if v not in later], k):
+        mask = sum(1 << v for v in comb)
+        if mask & due != due or mask in seen:
+            continue
+        seen.update(sum(1 << v for v in s) for s in ctx.subset_orbit(comb))
+        yield comb
 
 
 def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,

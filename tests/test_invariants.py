@@ -114,22 +114,30 @@ def test_minimum_determining_sets():
     assert len(sets) == 2 and truncated
 
 
-def test_feasible_classes_are_the_filtered_k_sets(rng):
-    # the generated candidate classes are the k-sets, in lexicographic order,
-    # that hold at most one vertex of each swap class and exactly one of
-    # each swap class of size d
-    from symlab.invariants import _feasible_classes
-    graphs = [_oracles.random_graph(rng, rng.randint(2, 9), rng.choice((0.1, 0.3, 0.7, 0.9)))
-              for _ in range(80)]
-    for g in graphs + [star(6), friendship(3), corona(path(3), complete(2))]:
+def test_class_candidates_are_the_lex_least_feasible_sets(rng):
+    # the cost search's candidate classes are, in lexicographic order, the
+    # lex-least set of each Aut(G)-orbit of the k-sets that hold at most one
+    # vertex of each swap class and exactly one of each swap class of size d
+    from symlab import complete_bipartite
+    from symlab.invariants import _class_candidates
+    graphs = [_oracles.random_graph(rng, rng.randint(1, 7), rng.choice((0.1, 0.3, 0.7, 0.9)))
+              for _ in range(60)]
+    for g in (star(6), friendship(3), corona(path(3), complete(2)), complete_bipartite(3, 3)):
+        sigma = list(range(g.n))
+        random.Random(g.n).shuffle(sigma)
+        graphs += [g, _oracles.relabeled(g, sigma)]
+    for g in graphs:
+        group = _oracles.brute_aut(g)
+        ctx = AutContext(g)
         classes = [set(cls) for cls in g.swap_classes]
-        for d in range(max(map(len, classes), default=2), g.n + 1):
+        for d in range(max([2, *map(len, classes)]), g.n + 1):
             for k in range(g.n + 1):
                 want = [s for s in itertools.combinations(range(g.n), k)
                         if all(len(cls.intersection(s)) <= 1 for cls in classes)
                         and all(len(cls.intersection(s)) == 1 for cls in classes
-                                if len(cls) == d)]
-                assert list(_feasible_classes(g, k, d)) == want, (g.adj, k, d)
+                                if len(cls) == d)
+                        and s == min(tuple(sorted(p[v] for v in s)) for p in group)]
+                assert list(_class_candidates(ctx, k, d)) == want, (g.adj, k, d)
 
 
 def test_minimum_determining_sets_equal_the_flat_scan(rng):

@@ -1,13 +1,16 @@
 """The package holds no dead code: every module-level function and class of
 ``src/symlab`` is used somewhere in the package or exported.  Importing it
-does no work beyond defining its names."""
+does no work beyond defining its names.  Every section of the decisions
+notes that the code or the docs cite by title exists."""
 
 import ast
+import re
 from pathlib import Path
 
 import symlab
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "symlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "symlab"
 
 
 def test_every_module_level_definition_is_used_or_exported():
@@ -63,3 +66,20 @@ def test_importing_the_package_does_no_work():
              for call in _import_time_calls(ast.parse(p.read_text(encoding="utf-8")))
              if ast.unparse(call.func) not in _IMPORT_TIME_CALLS]
     assert found == []
+
+
+def test_every_cited_decision_title_is_a_heading():
+    # the double-quoted titles right after a mention of the decisions notes,
+    # read across line breaks and ``#`` comment continuations, each name a
+    # ``## `` heading of those notes
+    notes = (ROOT / "notes" / "decisions.md").read_text(encoding="utf-8")
+    headings = {line[3:].strip() for line in notes.splitlines() if line.startswith("## ")}
+    files = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+             ROOT / "README.md", ROOT / "ROADMAP.md"]
+    cited = []
+    for p in files:
+        text = re.sub(r"\s*\n\s*(?:#\s*)?", " ", p.read_text(encoding="utf-8"))
+        for m in re.finditer(r'notes/decisions\.md`*,\s*("[^"]*"(?:\s+and\s+"[^"]*")*)', text):
+            cited += [(p.name, title) for title in re.findall(r'"([^"]*)"', m.group(1))]
+    assert cited
+    assert [(name, title) for name, title in cited if title not in headings] == []
