@@ -80,6 +80,20 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
+    @cached_property
+    def base_order(self) -> tuple[int, ...]:
+        """The points in the order the stabilizer chain fixes them: by 1 + the
+        last level with a representative that moves them, 0 if none does,
+        ties by index.  A point at i is fixed by the pointwise stabilizer of
+        the first i base points, so the base comes in chain order."""
+        depth = [0] * self.degree
+        for i, level in enumerate(self.transversals, 1):
+            for p in level[1:]:
+                for v, w in enumerate(p):
+                    if v != w:
+                        depth[v] = i
+        return tuple(sorted(range(self.degree), key=depth.__getitem__))
+
 
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))

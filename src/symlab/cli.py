@@ -17,8 +17,8 @@ from .aut import AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET
 from .graphs import (EdgeListError, FamilySpecError, Graph, Graph6Error, GraphError,
                      build_family, emit_edge_list, emit_graph6, parse_edge_list,
                      parse_graph6)
-from .invariants import (InvariantReport, check_witnesses, cost, determining_number,
-                         distinguishing_number, invariant_report)
+from .invariants import (InvariantReport, _distinguishing, check_witnesses, cost,
+                         determining_number, invariant_report)
 from .verifier import (CorpusError, UnknownCheckError, exit_code_for,
                        registered_checks, run_suite)
 
@@ -114,9 +114,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         rep = invariant_report(g, ctx=ctx)
         data = rep.to_dict()
     elif args.invariant == "D":
-        data["D"] = distinguishing_number(g, ctx=ctx)[0]
+        data["D"] = _distinguishing(ctx, replay=False)[0]
     elif args.invariant == "rho":
-        d, _ = distinguishing_number(g, ctx=ctx)
+        d = _distinguishing(ctx, replay=False)[0]
         data["D"] = d
         data["rho"] = cost(g, d=d, ctx=ctx)[0]
     elif args.invariant == "det":

@@ -23,6 +23,14 @@ Label names are canonicalized by first use, so label permutations are never
 re-explored.  The cost search tries, for each class size, the lex-least
 class of every Aut(G)-orbit in lexicographic order.
 
+The prunes hold in any branch order, so a D pool or a cost class has a
+distinguishing labeling in one order iff it has one in any other.  Each is
+decided in the full group's base order (``PermGroup.base_order``), where
+refuting takes far fewer nodes, and only the one that succeeds is searched
+again in index order, whose first labeling is the witness
+(notes/decisions.md, "Refute in chain order, replay the success in index
+order").
+
 A determining set is a base of Aut(G), so the determining number comes from
 an iterative-deepening base search over sorted prefixes P that extends P
 only by a vertex v above max(P) with two properties, both of which keep the
@@ -44,8 +52,8 @@ stops growing once it has passed over two vertices of one class.  A class
 labeled D holds at most one vertex of each swap class and one of each of
 size D; swapping in the least member of a class keeps it in its orbit, so
 the cost search tries only sets of least members and classless vertices
-that cover every class of size D (notes/decisions.md, "Swap classes bound
-D, det and ρ").
+that cover every class of size D, and no smaller sets than there are such
+classes (notes/decisions.md, "Swap classes bound D, det and ρ").
 
 Sets and prefixes are visited in lexicographic order, making every reported
 witness reproducible.
@@ -217,37 +225,59 @@ class _LabelSearch:
                 self.lex.leave(filed)
 
 
-def _search(ctx: AutContext, pool: int, cls: Sequence[int] = ()) -> list[int] | None:
+def _search(ctx: AutContext, pool: int, cls: Sequence[int] = (),
+            rest: Sequence[int] | None = None) -> list[int] | None:
     """A distinguishing labeling that gives the vertices of ``cls`` the label
     pool + 1 and every other vertex one of the labels 1..pool, or None.  The
-    search branches on ``cls`` first, then on the other vertices in order."""
+    search branches on ``cls`` first, then on the other vertices in the
+    order ``rest``, index order by default."""
     n = ctx.graph.n
     labels = [0] * n
     for v in cls:
         labels[v] = pool + 1
-    order = sorted(cls) + [v for v in range(n) if labels[v] == 0]
+    order = sorted(cls) + [v for v in (range(n) if rest is None else rest) if labels[v] == 0]
     lex = _LexBuckets(order, len(cls), _lex_tables(ctx, frozenset(cls)))
     return _LabelSearch(ctx, labels, order, pool, lex).run(len(cls), 0, True)
+
+
+def _decide(ctx: AutContext, pool: int, cls: Sequence[int] = (),
+            replay: bool = True) -> list[int] | None:
+    """``_search`` with the other vertices in the full group's base order,
+    where a failure costs far fewer nodes.  Either order finds a labeling or
+    neither does; with ``replay``, a success is searched again in index
+    order, whose first labeling is the witness (notes/decisions.md, "Refute
+    in chain order, replay the success in index order")."""
+    rest = [v for v in ctx.full.base_order if v not in cls]
+    got = _search(ctx, pool, cls, rest)
+    if got is not None and replay and rest != sorted(rest):
+        return _search(ctx, pool, cls)
+    return got
 
 
 # ---------------------------------------------------------------------------
 # public invariants
 # ---------------------------------------------------------------------------
 
-def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
-    """Least d admitting a distinguishing d-labeling, with a witness labeling.
-    The pools below the largest swap class, which needs a label per vertex,
-    are not tried."""
-    ctx = ctx or AutContext(g)
+def _distinguishing(ctx: AutContext, replay: bool) -> tuple[int, list[int]]:
+    # D and a distinguishing D-labeling, which is the index-order witness
+    # only with ``replay``.  The pools below the largest swap class, which
+    # needs a label per vertex, are not tried
+    g = ctx.graph
     if ctx.full.order == 1:
-        return 1, (1,) * g.n
+        return 1, [1] * g.n
     for d in range(max(map(len, g.swap_classes), default=2), g.n + 1):
-        got = _search(ctx, d)
+        got = _decide(ctx, d, replay=replay)
         if got is not None:
             if max(got) != d:
                 raise AssertionError("distinguishing witness skipped a smaller label count")
-            return d, tuple(got)
+            return d, got
     raise AssertionError("all-distinct labeling must distinguish")
+
+
+def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
+    """Least d admitting a distinguishing d-labeling, with a witness labeling."""
+    d, witness = _distinguishing(ctx or AutContext(g), replay=True)
+    return d, tuple(witness)
 
 
 def _class_candidates(ctx: AutContext, k: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -274,17 +304,18 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
     own distinguishing number, with a witness labeling."""
     ctx = ctx or AutContext(g)
     if d is None:
-        d, _ = distinguishing_number(g, ctx=ctx)
+        d = _distinguishing(ctx, replay=False)[0]
     n = g.n
     if d == 1:
         return n, (1,) * n
-    for k in range(1, n + 1):
+    # the class labeled d holds a vertex of each swap class of size d
+    for k in range(max(1, sum(len(cls) == d for cls in g.swap_classes)), n + 1):
         if det_hint is not None and k > n - det_hint:
             raise AssertionError(
                 f"cost search passed the n - determining-number cutoff ({n - det_hint})"
             )
         for cls in _class_candidates(ctx, k, d):
-            got = _search(ctx, d - 1, cls)
+            got = _decide(ctx, d - 1, cls)
             if got is not None:
                 if max(got) != d or len(set(got)) != d:
                     raise AssertionError(
@@ -426,10 +457,17 @@ def subset_distinguishing_witness(g: Graph, w: Iterable[int], upto: int | None =
     if not ws:
         return (1, {})
     ctx = ctx or AutContext(g)
-    # for a determining w, the group keeping w's classes fixes w pointwise
-    # iff it is trivial (notes/decisions.md, "Subset distinguishability of a
-    # determining set is rigidity")
-    determines = ctx.pointwise_trivial(ws)
+    return _subset_witness(ctx, ws, upto, ctx.pointwise_trivial(ws))
+
+
+def _subset_witness(ctx: AutContext, ws: Sequence[int], upto: int | None,
+                    determines: bool) -> tuple[int, dict[int, int]] | None:
+    # ``subset_distinguishing_witness`` on the sorted, non-empty ``ws``, for a
+    # caller that knows whether ws determines.  For a determining ws, the
+    # group keeping its classes fixes it pointwise iff it is trivial
+    # (notes/decisions.md, "Subset distinguishability of a determining set is
+    # rigidity")
+    g = ctx.graph
     limit = len(ws) if upto is None else min(upto, len(ws))
     for d in range(1, limit + 1):
         for labeling in _partitions_into(ws, d):
@@ -528,7 +566,7 @@ def invariant_report(g: Graph, ctx: AutContext | None = None) -> InvariantReport
     """Compute all invariants; the stored labeling is the cost witness, so its
     smallest class size equals the cost."""
     ctx = ctx or AutContext(g)
-    d, _ = distinguishing_number(g, ctx=ctx)
+    d = _distinguishing(ctx, replay=False)[0]
     det, det_witness = determining_number(g, ctx=ctx)
     rho, labels = cost(g, d=d, ctx=ctx, det_hint=det)
     return InvariantReport(

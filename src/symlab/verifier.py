@@ -45,9 +45,8 @@ from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET, 
 from .graphs import (MAX_FAMILY_ORDER, FamilySpec, FamilySpecError, Graph, Graph6Error,
                      corona, emit_graph6, friendship, from_edge_list, hypercube,
                      induced_subgraph, parse_family_spec, parse_graph6)
-from .invariants import (InvariantReport, cost, determining_number,
-                         distinguishing_number, invariant_report,
-                         minimum_determining_sets, subset_distinguishing_witness)
+from .invariants import (InvariantReport, _distinguishing, _subset_witness, cost,
+                         determining_number, invariant_report, minimum_determining_sets)
 
 
 class CorpusError(ValueError):
@@ -366,7 +365,7 @@ class _Facts:
         # the caches close over each other, not over self, so a run's facts
         # are freed by reference counting as soon as the run returns
         ctx = self.ctx = functools.cache(lambda g: AutContext(g, Budget(budget_cap)))
-        d = self.d = functools.cache(lambda g: distinguishing_number(g, ctx=ctx(g))[0])
+        d = self.d = functools.cache(lambda g: _distinguishing(ctx(g), replay=False)[0])
         self.rho = functools.cache(lambda g: cost(g, d=d(g), ctx=ctx(g)))
         self.det = functools.cache(lambda g: determining_number(g, ctx=ctx(g)))
 
@@ -450,7 +449,8 @@ def _check_thm11(c: _Case) -> Verdict:
         return _UNMET
     forward = False
     for A in c.mindets:
-        got = subset_distinguishing_witness(ctx.graph, A, upto=d - 1, ctx=ctx)
+        # A is a minimum determining set, so it determines
+        got = _subset_witness(ctx, A, d - 1, determines=True)
         if got is None:
             continue  # this set needs d labels or more; fine for minimality
         sdn, labeling = got

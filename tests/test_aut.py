@@ -271,18 +271,18 @@ def test_brute_force_matches_permutation_filter_colored():
 # canonical-form search since removed); the current count follows it.
 _SEARCH_EFFORT = [pytest.param(spec, report, id=case) for case, spec, report in [
     ("friendship:5-819-35", "friendship:5", 203),
-    ("hypercube:3-187-10", "hypercube:3", 75),
-    ("hypercube:4-418-15", "hypercube:4", 181),
-    ("cycle:12-118-6", "cycle:12", 72),
-    ("corona:(path:3),(complete:2)-410-15", "corona:(path:3),(complete:2)", 73),
+    ("hypercube:3-187-10", "hypercube:3", 81),
+    ("hypercube:4-418-15", "hypercube:4", 172),
+    ("cycle:12-118-6", "cycle:12", 49),
+    ("corona:(path:3),(complete:2)-410-15", "corona:(path:3),(complete:2)", 68),
     ("complete_bipartite:5,5-1038-53", "complete_bipartite:5,5", 212),
     ("star:10-1708-55", "star:10", 253),
     # "spec@1": the graph under the vertex relabeling drawn with key 1, as
     # the labeling search's effort depends on the vertex labeling
-    ("friendship:6@1-7461-28", "friendship:6@1", 1332),
-    ("hypercube:3@1-208-10", "hypercube:3@1", 78),
+    ("friendship:6@1-7461-28", "friendship:6@1", 284),
+    ("hypercube:3@1-208-10", "hypercube:3@1", 72),
     ("cycle:12@1-75-10", "cycle:12@1", 54),
-    ("corona:(path:3),(complete:2)@1-305-15", "corona:(path:3),(complete:2)@1", 48),
+    ("corona:(path:3),(complete:2)@1-305-15", "corona:(path:3),(complete:2)@1", 51),
 ]]
 
 
@@ -306,17 +306,18 @@ def test_search_effort_is_pinned(spec, report_nodes):
     assert budget.used == report_nodes
 
 
-@pytest.mark.parametrize("spec", ["friendship:5", "friendship:6", "friendship:7"])
+@pytest.mark.parametrize("spec", [spec for spec, _ in _panel_graphs()])
 def test_search_effort_is_bounded_under_relabeling(spec):
-    # the orbit prune tests every coset representative of the group, so a
-    # relabeling costs at most a small multiple of the graph as built
+    # the failing D pools and cost classes are searched in the group's base
+    # order, not by vertex index, so a relabeling costs at most a small
+    # multiple of the graph as built
     def used(g):
         budget = Budget()
         invariant_report(g, AutContext(g, budget))
         return budget.used
     built = used(build_family(spec))
-    for key in (1, 2, 3):
-        assert used(_relabeled_family(spec, str(key))) <= 7 * built, (spec, key)
+    for key in range(1, 11):
+        assert used(_relabeled_family(spec, str(key))) <= 3 * built, (spec, key)
 
 
 # ---------------------------------------------------------------------------

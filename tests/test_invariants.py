@@ -424,6 +424,49 @@ def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
     assert sum(used for _, used in unpruned) > sum(used for _, used in pruned)
 
 
+def _decided(graphs, monkeypatch):
+    # per graph: D, rho, det and their witnesses, the verdict of every D pool
+    # and cost class the searches decided, and the number of successes
+    # searched again in index order
+    from symlab import invariants
+    search = invariants._search
+    decisions: list = []
+    replays = 0
+
+    def logged(ctx, pool, cls=(), rest=None):
+        nonlocal replays
+        got = search(ctx, pool, cls, rest)
+        if rest is None:
+            replays += 1
+        else:
+            decisions.append((pool, tuple(cls), got is not None))
+        return got
+
+    monkeypatch.setattr(invariants, "_search", logged)
+    out = []
+    for g in graphs:
+        decisions.clear()
+        out.append((_searches(g)[0], list(decisions)))
+    monkeypatch.setattr(invariants, "_search", search)
+    return out, replays
+
+
+def test_chain_order_decides_as_index_order_does(rng, monkeypatch):
+    # a D pool or cost class fails in the group's base order exactly when it
+    # fails in index order, and a success is searched again in index order,
+    # so every verdict, answer and witness is that of index order
+    # (notes/decisions.md, "Refute in chain order, replay the success in
+    # index order")
+    from symlab import aut
+    graphs = _prune_corpus(rng)
+    chained, replays = _decided(graphs, monkeypatch)
+    monkeypatch.setattr(aut.PermGroup, "base_order",
+                        property(lambda self: tuple(range(self.degree))))
+    assert _decided(graphs, monkeypatch) == (chained, 0)
+    # the base order differed from index order where a search succeeded
+    assert replays > 100
+
+
 def test_lex_buckets_reject_what_the_full_scan_rejects(rng, monkeypatch):
     # rescanning only the tables a new label can change rejects the same
     # nodes as scanning every live table, so D, rho, both witnesses and the
