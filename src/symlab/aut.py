@@ -439,10 +439,11 @@ def refine(g: Graph, colors: Sequence[int], budget: Budget | None = None) -> tup
 
 class AutContext:
     """One graph's full automorphism group, kept, the nontrivial automorphisms
-    its colored queries have found, and a node budget that every query spends.
-    A query whose colors a found automorphism keeps is answered by it, without
-    a search, for one node (``notes/decisions.md``, "Coset tables, twins,
-    swaps and known automorphisms")."""
+    its colored queries have found, the partitions they have proved rigid, and
+    a node budget that every query spends.  A query whose colors a found
+    automorphism keeps, or whose partition was proved rigid, is answered
+    without a search, for one node (``notes/decisions.md``, "Coset tables,
+    twins, swaps and known automorphisms")."""
 
     def __init__(self, graph: Graph, budget: Budget | None = None):
         self.graph = graph
@@ -450,6 +451,8 @@ class AutContext:
         self.full = automorphisms(graph, budget=self.budget)
         # each found automorphism with the itemgetter that reads colors through it
         self._known: list[tuple[Perm, operator.itemgetter]] = []
+        # rigid colorings, classes renamed by first occurrence
+        self._rigid: set[tuple[int, ...]] = set()
 
     def first_nontrivial(self, colors: Sequence[int]) -> Perm | None:
         """A nontrivial automorphism that keeps ``colors``, or None."""
@@ -459,8 +462,15 @@ class AutContext:
             if image(key) == key:
                 self.budget.recall()
                 return sigma
+        ids: dict[int, int] = {}
+        partition = tuple([ids.setdefault(c, len(ids)) for c in key])
+        if partition in self._rigid:
+            self.budget.recall()
+            return None
         sigma = _Engine(self.graph, key, self.budget).first_nontrivial()
-        if sigma is not None:
+        if sigma is None:
+            self._rigid.add(partition)
+        else:
             self._known.append((sigma, operator.itemgetter(*sigma)))
         return sigma
 

@@ -126,12 +126,17 @@ class _OrbitMarks:
         self.rows: list[tuple[int, list[Verdict]] | None] = []
         gens = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
         # per generator and per byte of a mask (at most 21 bits), the image
-        # of each byte value
+        # of each byte value: that of the value without its lowest bit, plus
+        # the image of that bit
         self.moves = []
         for s in gens:
             image = [bit[tuple(sorted((s[u], s[v])))] for u, v in pairs] + [0] * (24 - len(pairs))
-            self.moves.append([[sum(image[8 * k + i] for i in range(8) if value >> i & 1)
-                                for value in range(256)] for k in range(3)])
+            tables = [[0] * 256 for _ in range(3)]
+            for k, t in enumerate(tables):
+                for value in range(1, 256):
+                    low = value & -value
+                    t[value] = t[value ^ low] | image[8 * k + low.bit_length() - 1]
+            self.moves.append(tables)
 
     def _mark(self, mask: int, value: int) -> int:
         """Mark the orbit of ``mask`` with ``value``; returns its size."""

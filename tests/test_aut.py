@@ -335,13 +335,16 @@ def _backend_panel(rng):
 def test_context_backends_agree(rng):
     # the context's one backend, a search per colored query, agrees with
     # filtering all n! permutations; each query is asked again, in reverse
-    # order, so that the context answers from the automorphisms it found
+    # order, and once more with its values remapped, so that the context
+    # answers from the automorphisms it found and the partitions it proved
+    # rigid
     for g in _backend_panel(rng):
         n = g.n
         elements = _oracles.brute_aut(g)
         ctx = AutContext(g)
         colorings = [[0] * n] + [[rng.randint(0, k) for _ in range(n)] for k in (1, 2, 3)]
-        for colors in colorings + colorings[::-1]:
+        remapped = [[3 * c + 5 for c in colors] for colors in colorings]
+        for colors in colorings + colorings[::-1] + remapped:
             kept = [p for p in elements if _oracles.stabilizes_labeling(p, colors)]
             rigid = len(kept) == 1
             found = ctx.first_nontrivial(colors)
@@ -364,6 +367,29 @@ def test_context_backends_agree(rng):
             want = all(p == identity_perm(n) or any(p[v] != v for v in subset)
                        for p in elements)
             assert ctx.pointwise_trivial(subset) == want
+
+
+def test_rigid_partitions_are_remembered(monkeypatch):
+    # a rigid coloring asked again with its classes under other values is
+    # answered from the context's rigid partitions: one node, no refinement
+    refines = [0]
+    refine = aut._Engine.refine
+
+    def counted(self, colors, at=None):
+        refines[0] += 1
+        return refine(self, colors, at)
+
+    monkeypatch.setattr(aut._Engine, "refine", counted)
+    g = friendship(3)
+    budget = Budget()
+    ctx = AutContext(g, budget)
+    colors = [0, 1, 2, 1, 3, 1, 4]
+    assert ctx.is_rigid(colors)
+    used, calls = budget.used, refines[0]
+    assert ctx.first_nontrivial([7 - 2 * c for c in colors]) is None
+    assert (budget.used - used, refines[0] - calls) == (1, 0)
+    # the same classes are rigid under any values, a coarser partition is not
+    assert not ctx.is_rigid([0, 1, 2, 1, 1, 1, 4])
 
 
 def test_context_identity_is_first_element():

@@ -377,10 +377,13 @@ def _searches(g):
 
 
 class _Forgetful(list):
-    """A context's memory of found automorphisms that keeps nothing."""
+    """A context's memory of found automorphisms or rigid partitions that
+    keeps nothing."""
 
-    def append(self, sigma):
+    def append(self, item):
         pass
+
+    add = append
 
 
 def _prune_corpus(rng):
@@ -399,11 +402,11 @@ def _prune_corpus(rng):
 
 def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
     # the coset-table orbit prune, the twin and swap tests, the context's
-    # known automorphisms and the swap-class bounds only skip work: with no
-    # tables, no swap classes and an engine query at every node, D, rho, det
-    # and their witnesses are the same (notes/decisions.md, "Coset tables,
-    # twins, swaps and known automorphisms" and "Swap classes bound D, det
-    # and ρ")
+    # known automorphisms and rigid partitions and the swap-class bounds only
+    # skip work: with no tables, no swap classes and an engine query at every
+    # node, D, rho, det and their witnesses are the same (notes/decisions.md,
+    # "Coset tables, twins, swaps and known automorphisms" and "Swap classes
+    # bound D, det and ρ")
     from symlab import Graph, aut, invariants
     graphs = _prune_corpus(rng)
     pruned = [_searches(g) for g in graphs]
@@ -415,6 +418,7 @@ def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
     def forgetful_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         self._known = _Forgetful()
+        self._rigid = _Forgetful()
 
     monkeypatch.setattr(aut.AutContext, "__init__", forgetful_init)
     # copies, as the graphs above keep the swap classes they computed
