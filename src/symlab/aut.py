@@ -192,7 +192,9 @@ class _Engine:
         looks only at neighbors in the parts of the classes the previous round
         split: elsewhere the vertices of a class have equal neighbor counts,
         so the restricted keys order them as the full ones do
-        (``notes/decisions.md``)."""
+        (``notes/decisions.md``).  Only vertices of classes of two or more
+        are keyed, as a singleton cannot be cut, and a discrete coloring is
+        returned at once."""
         self.budget.spend()
         adj = self.adj
         if at is None:
@@ -200,6 +202,7 @@ class _Engine:
             colors = [lut[c] for c in colors]
         else:
             colors = list(colors)
+        n = self.n
         cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
         for v, c in enumerate(colors):
             cells[c].append(v)
@@ -210,22 +213,22 @@ class _Engine:
             colors[at] = len(cells)
             cells.append([at])
             split = [rest, cells[-1]]
-        while True:
+        multi = [len(cells[c]) > 1 for c in colors]
+        while len(cells) < n:
             # split parts in id order, so each key list comes out sorted
             keys: dict[int, list[int]] = {}
             for cell in split:
                 for u in cell:
                     c = colors[u]
                     for w in adj[u]:
-                        if w in keys:
-                            keys[w].append(c)
-                        else:
-                            keys[w] = [c]
+                        if multi[w]:
+                            if w in keys:
+                                keys[w].append(c)
+                            else:
+                                keys[w] = [c]
             parts: dict[int, list[list[int]]] = {}
             for j in {colors[w] for w in keys}:
                 cell = cells[j]
-                if len(cell) < 2:
-                    continue
                 groups: dict[tuple[int, ...], list[int]] = {}
                 for v in cell:
                     key = tuple(keys.get(v, ()))
@@ -244,12 +247,16 @@ class _Engine:
                 if j in parts:
                     out += parts[j]
                     split += parts[j]
+                    for part in parts[j]:
+                        if len(part) == 1:
+                            multi[part[0]] = False
                 else:
                     out.append(cells[j])
             for i in range(first, len(out)):
                 for v in out[i]:
                     colors[v] = i
             cells = out
+        return colors
 
     @staticmethod
     def shape(colors: Sequence[int]) -> tuple[int, ...]:
@@ -484,15 +491,35 @@ class AutContext:
         """True iff only the identity fixes every vertex of ``vertices``."""
         return self.first_nontrivial(pointwise_colors(self.graph.n, vertices)) is None
 
-    def subset_orbit(self, vertices: Iterable[int]) -> set[frozenset[int]]:
-        """Orbit of a vertex set under the full group's generators."""
-        start = frozenset(vertices)
+    @cached_property
+    def _set_moves(self) -> list[list[tuple[int, list[int]]]]:
+        # per generator and per byte of a vertex bitmask, the byte's shift and
+        # the image of each byte value: the values below 2^j extended by bit
+        # j are those values' images plus the image of bit j
+        n = self.graph.n
+        moves = []
+        for gen in self.full.generators:
+            tables = []
+            for shift in range(0, n, 8):
+                table = [0]
+                for v in gen[shift:shift + 8]:
+                    bit = 1 << v
+                    table += [image | bit for image in table]
+                tables.append((shift, table))
+            moves.append(tables)
+        return moves
+
+    def subset_orbit(self, vertices: Iterable[int]) -> set[int]:
+        """Orbit of a vertex set under the full group's generators, each set
+        as the bitmask of its vertices."""
+        start = sum(1 << v for v in set(vertices))
         orbit = {start}
         frontier = [start]
-        while frontier:
-            s = frontier.pop()
-            for gen in self.full.generators:
-                t = frozenset(gen[v] for v in s)
+        for s in frontier:
+            for tables in self._set_moves:
+                t = 0
+                for shift, table in tables:
+                    t |= table[s >> shift & 255]
                 if t not in orbit:
                     orbit.add(t)
                     frontier.append(t)

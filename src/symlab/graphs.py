@@ -47,6 +47,25 @@ class FamilySpecError(ValueError):
     """Unparseable or out-of-range family spec string."""
 
 
+# the largest block a family may have (notes/decisions.md, "Interchangeable
+# blocks"): the labeling search lists up to pool^3 labelings of a block, each
+# against at most 5 internal automorphisms
+BLOCK_LIMIT = 3
+
+
+@dataclass(frozen=True)
+class BlockFamily:
+    """Interchangeable blocks: components of G - c for one cut vertex c, any
+    two of which an automorphism fixing every other vertex swaps.
+    ``blocks[i][j]`` is the image of ``blocks[0][j]`` under such a swap, and
+    ``internal`` lists the non-identity automorphisms that fix every vertex
+    outside ``blocks[0]``, each as the permutation k of the positions j that
+    maps ``blocks[0][j]`` to ``blocks[0][k[j]]``."""
+
+    blocks: tuple[tuple[int, ...], ...]
+    internal: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction."""
@@ -74,6 +93,88 @@ class Graph:
             by_nbhd.setdefault(b, []).append(v)
             by_nbhd.setdefault(b | 1 << v, []).append(v)
         return tuple(sorted(tuple(c) for c in by_nbhd.values() if len(c) > 1))
+
+    @cached_property
+    def cut_components(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+        """Each cut vertex c, in increasing order, with the components of
+        G - c that hold a neighbor of c, each sorted, in order of their least
+        vertex.  One depth-first search (Hopcroft and Tarjan): a child u of c
+        whose subtree has no edge above c cuts that subtree off, and when c
+        is not a root the rest of its tree is one more component."""
+        n, adj = self.n, self.adj_lists
+        disc, low, size, parent = [-1] * n, [0] * n, [1] * n, [-1] * n
+        pre: list[int] = []
+        cut: dict[int, list[int]] = {}
+        tree: dict[int, range] = {}
+        for r in range(n):
+            if disc[r] >= 0:
+                continue
+            first = len(pre)
+            disc[r] = low[r] = first
+            pre.append(r)
+            stack = [(r, iter(adj[r]))]
+            while stack:
+                v, todo = stack[-1]
+                for w in todo:
+                    if disc[w] < 0:
+                        parent[w] = v
+                        disc[w] = low[w] = len(pre)
+                        pre.append(w)
+                        stack.append((w, iter(adj[w])))
+                        break
+                    low[v] = min(low[v], disc[w])
+                else:
+                    stack.pop()
+                    p = parent[v]
+                    if p >= 0:
+                        low[p] = min(low[p], low[v])
+                        size[p] += size[v]
+                        if low[v] >= disc[p]:
+                            cut.setdefault(p, []).append(v)
+            span = range(first, len(pre))
+            for v in pre[first:]:
+                tree[v] = span
+        out = []
+        for c in sorted(cut):
+            parts = [sorted(pre[disc[u]:disc[u] + size[u]]) for u in cut[c]]
+            if parent[c] >= 0:
+                away = {v for part in parts for v in part} | {c}
+                parts.append(sorted(pre[i] for i in tree[c] if pre[i] not in away))
+            if len(parts) > 1:
+                out.append((c, tuple(sorted(map(tuple, parts)))))
+        return tuple(out)
+
+    @cached_property
+    def block_families(self) -> tuple[BlockFamily, ...]:
+        """The families of at least two interchangeable blocks of 2 to
+        ``BLOCK_LIMIT`` vertices, per cut vertex c in increasing order.  Two
+        components of G - c are interchangeable when a bijection between
+        them keeps the edges inside them and to c: edges leave a component
+        only to c, so the bijection on one, its inverse on the other and the
+        identity elsewhere is an automorphism.  Each block is listed in the
+        order of its vertices that gives the least such edge pattern, so
+        equal patterns give the transport position by position."""
+        bits = self.adj_bits
+
+        def pattern(c: int, order: tuple[int, ...]) -> tuple[int, ...]:
+            return (*(bits[v] >> c & 1 for v in order),
+                    *(bits[u] >> w & 1 for u, w in itertools.combinations(order, 2)))
+
+        families = []
+        for c, parts in self.cut_components:
+            shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for part in parts:
+                if 2 <= len(part) <= BLOCK_LIMIT:
+                    order = min(itertools.permutations(part), key=lambda o: pattern(c, o))
+                    shapes.setdefault(pattern(c, order), []).append(order)
+            for shape, blocks in shapes.items():
+                if len(blocks) > 1:
+                    first = blocks[0]
+                    internal = tuple(k for k in itertools.permutations(range(len(first)))
+                                     if k != tuple(range(len(first)))
+                                     and pattern(c, tuple(first[j] for j in k)) == shape)
+                    families.append(BlockFamily(tuple(blocks), internal))
+        return tuple(families)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

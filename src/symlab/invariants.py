@@ -2,7 +2,7 @@
 subset distinguishability, each computed exactly with a verifiable witness.
 
 All three invariants reduce to colored-automorphism queries.  The labeling
-searches are complete backtracking with three prunes:
+searches are complete backtracking with four prunes:
 
 * dead-end prune: a nontrivial automorphism that preserves the partial
   labeling while fixing every unlabeled vertex survives any completion.
@@ -13,7 +13,14 @@ searches are complete backtracking with three prunes:
   representative of the stabilizer chain maps it to a lexicographically
   smaller one;
 * shortcut: if the partial label classes plus "rest" already pin the graph
-  rigid and a fresh label is available, the rest becomes one new class.
+  rigid and a fresh label is available, the rest becomes one new class;
+* block prune: the interchangeable blocks of a family
+  (``Graph.block_families``) must still be able to take labelings that
+  leave their own block rigid and that are pairwise inequivalent, a
+  bipartite matching from blocks to the canonical forms their labels
+  still allow.  It runs at the root, so it refutes whole D pools and cost
+  classes, and after each vertex placed in a block (notes/decisions.md,
+  "Interchangeable blocks").
 
 Both queries go to the graph's ``AutContext``.  It answers with an
 automorphism that an earlier query of any invariant found, if one keeps the
@@ -67,7 +74,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .aut import AutContext, Perm, labeling_colors, pointwise_colors
-from .graphs import Graph, emit_graph6
+from .graphs import BlockFamily, Graph, emit_graph6
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +154,88 @@ def _swaps(g: Graph) -> list[tuple[int, ...]]:
     return partners
 
 
+class _Blocks:
+    """The block prune for one family of interchangeable blocks
+    (``Graph.block_families``) in one labeling search: the blocks' labels
+    must still extend to labelings that leave their own block rigid and
+    that no internal automorphism makes equal (notes/decisions.md,
+    "Interchangeable blocks").
+
+    It keeps a matching of the blocks to pairwise different options.
+    Options only shrink down the search tree, so a matching of the node
+    last checked also serves each of its ancestors, and a node whose one
+    changed block keeps its option needs no more work."""
+
+    def __init__(self, family: BlockFamily, pool: int):
+        self.blocks = family.blocks
+        self.internal = family.internal
+        self.pool = pool
+        self.options: dict[tuple[int, ...], set[tuple[int, ...]] | None] = {}
+        # held[i]: the option block i is matched to, or None; owner inverts it
+        self.held: list[tuple[int, ...] | None] = [None] * len(self.blocks)
+        self.owner: dict[tuple[int, ...], int] = {}
+
+    def _options(self, labels: list[int], i: int) -> set[tuple[int, ...]] | None:
+        # the least internal images of the completions of block i's labels
+        # (0 = unlabeled, completed from 1..pool) that no internal
+        # automorphism keeps; None once there are as many as blocks, since
+        # such a block always finds one the others left free
+        pattern = tuple([labels[v] for v in self.blocks[i]])
+        if pattern in self.options:
+            return self.options[pattern]
+        found: set[tuple[int, ...]] | None = set()
+        free = range(1, self.pool + 1)
+        for full in itertools.product(*[(lab,) if lab else free for lab in pattern]):
+            images = [tuple([full[j] for j in k]) for k in self.internal]
+            if full not in images:
+                found.add(min([full, *images]))
+                if len(found) == len(self.blocks):
+                    found = None
+                    break
+        self.options[pattern] = found
+        return found
+
+    def _match(self, labels: list[int], i: int, tried: set[tuple[int, ...]]) -> bool:
+        # an augmenting path from block i; a block with as many options as
+        # blocks gives its option up and needs none.  Only a success changes
+        # the matching
+        options = self._options(labels, i)
+        if options is None:
+            self.held[i] = None
+            return True
+        for o in options:
+            if o not in tried:
+                tried.add(o)
+                j = self.owner.get(o)
+                if j is None or self._match(labels, j, tried):
+                    self.owner[o] = i
+                    self.held[i] = o
+                    return True
+        return False
+
+    def fit(self, labels: list[int], changed: int | None = None) -> bool:
+        """True iff the blocks can still take pairwise different options.
+        Without ``changed`` the matching is built anew; with it, only block
+        ``changed`` has new labels since a check that passed."""
+        if changed is None:
+            self.held = [None] * len(self.blocks)
+            self.owner = {}
+            return all(self._match(labels, i, set()) for i in range(len(self.blocks)))
+        old = self.held[changed]
+        options = self._options(labels, changed)
+        if options is None or old in options:
+            return True
+        if old is not None:
+            del self.owner[old]
+        if self._match(labels, changed, set()):
+            return True
+        if old is not None:
+            # the ancestors' matching stands
+            self.owner[old] = changed
+            self.held[changed] = old
+        return False
+
+
 class _LabelSearch:
     """Complete search for a rigid completion of a partial labeling."""
 
@@ -158,6 +247,13 @@ class _LabelSearch:
         self.pool = pool
         self.lex = lex
         self.swaps = _swaps(ctx.graph)
+        self.families = [_Blocks(fam, pool) for fam in ctx.graph.block_families]
+        # in_blocks[v]: each family with a block holding v, and that block's index
+        self.in_blocks: list[list[tuple[_Blocks, int]]] = [[] for _ in labels]
+        for fam in self.families:
+            for i, blk in enumerate(fam.blocks):
+                for v in blk:
+                    self.in_blocks[v].append((fam, i))
         # placed[lab]: the vertices placed so far with label lab, in order
         self.placed: list[list[int]] = [[] for _ in range(pool + 1)]
         # later[i]: the vertices placed after order[i], as a bitmask
@@ -181,12 +277,19 @@ class _LabelSearch:
         return any(bits[w] & later == mine for w in self.placed[self.labels[v]][:-1])
 
     def run(self, start: int, used: int, root: bool = False) -> list[int] | None:
-        """Search below the labels of order[:start].  Below the ``root`` the
-        lex prune rescans the tables waiting on the vertex placed last, and
-        the dead-end query is made only if that vertex has a twin: else it
-        would find no automorphism."""
+        """Search below the labels of order[:start].  The ``root`` checks
+        every block family; below it the block prune checks the families of
+        the vertex placed last, the lex prune rescans the tables waiting on
+        that vertex, and the dead-end query is made only if it has a twin:
+        else it would find no automorphism."""
         labels = self.labels
-        if not root:
+        if root:
+            if not all(fam.fit(labels) for fam in self.families):
+                return None
+        else:
+            for fam, i in self.in_blocks[self.order[start - 1]]:
+                if not fam.fit(labels, i):
+                    return None
             filed = self.lex.enter(labels, start)
             if filed is None:
                 return None
@@ -294,7 +397,7 @@ def _class_candidates(ctx: AutContext, k: int, d: int) -> Iterator[tuple[int, ..
         mask = sum(1 << v for v in comb)
         if mask & due != due or mask in seen:
             continue
-        seen.update(sum(1 << v for v in s) for s in ctx.subset_orbit(comb))
+        seen.update(ctx.subset_orbit(comb))
         yield comb
 
 

@@ -172,6 +172,26 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return from_edge_list(n, edges)
 
 
+def hung_blocks_graph(rng: random.Random, max_order: int) -> Graph:
+    """A random connected core with copies of small random blocks hung on
+    some of its vertices, at most ``max_order`` vertices, randomly
+    relabeled: copies of one block on one vertex are interchangeable."""
+    n = rng.randint(1, 3)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+    while n < max_order - 1:
+        c, size = rng.randrange(n), rng.randint(1, 3)
+        inner = [(rng.randrange(i), i) for i in range(1, size)]
+        inner += [(i, j) for i, j in itertools.combinations(range(size), 2) if rng.random() < 0.4]
+        to_c = [i for i in range(size) if rng.random() < 0.5] or [0]
+        for _ in range(min(rng.randint(1, 3), (max_order - n) // size)):
+            edges += [(n + i, n + j) for i, j in inner] + [(c, n + i) for i in to_c]
+            n += size
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    return from_edge_list(n, [(sigma[u], sigma[v]) for u, v in edges])
+
+
 def connected_graphs(n: int):
     """Every labeled connected graph on exactly n vertices."""
     pairs = list(itertools.combinations(range(n), 2))

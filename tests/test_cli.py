@@ -232,12 +232,12 @@ def test_verify_budget_exceeded_outside_bound_pass(capsys):
     assert [(r["theorem_id"], r["status"], r["hypothesis_met"]) for r in json.loads(out)] == [
         ("Thm3.1", "budget-exceeded", 0), ("Prop2.2", "budget-exceeded", 0)]
     # each friendship order is judged on its own: an overrun at a large n
-    # keeps the verdicts of the orders that fit
-    code, out, _ = run(capsys, "verify", "--suite", "Thm3.1", "--corpus", "friendship:2..8",
+    # keeps the verdicts of the orders that fit (2..10; 11 and 12 overrun)
+    code, out, _ = run(capsys, "verify", "--suite", "Thm3.1", "--corpus", "friendship:2..12",
                        "--budget", "150", "--json")
     assert code == 3
     [report] = json.loads(out)
-    assert report["status"] == "budget-exceeded" and report["hypothesis_met"] == 5
+    assert report["status"] == "budget-exceeded" and report["hypothesis_met"] == 9
     # a corona pair that runs out of budget does not hide another pair's
     # counterexample
     code, out, _ = run(capsys, "verify", "--suite", "Thm4.1", "--corpus",

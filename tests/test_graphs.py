@@ -159,6 +159,77 @@ def test_swap_classes_hold_exactly_the_transpositions_of_the_group(rng):
     assert path(4).swap_classes == ()
 
 
+def _components_without(g, c):
+    # the components of G - c that hold a neighbor of c, by a scan
+    parts, seen = [], {c}
+    for s in sorted(g.adj[c]):
+        if s not in seen:
+            part, frontier = {s}, [s]
+            while frontier:
+                for w in g.adj[frontier.pop()]:
+                    if w not in seen and w not in part:
+                        part.add(w)
+                        frontier.append(w)
+            seen |= part
+            parts.append(tuple(sorted(part)))
+    return tuple(sorted(parts))
+
+
+def test_cut_components_match_a_scan_without_each_vertex(rng):
+    graphs = [_oracles.random_graph(rng, rng.randint(1, 11), rng.choice((0.1, 0.2, 0.3, 0.5)))
+              for _ in range(400)]
+    graphs += [friendship(4), star(5), path(6), cycle(5), from_edge_list(5, [(0, 1), (2, 3), (3, 4)])]
+    for g in graphs:
+        want = tuple((c, parts) for c in range(g.n)
+                     if len(parts := _components_without(g, c)) > 1)
+        assert g.cut_components == want, g.adj
+    assert friendship(3).cut_components == ((0, ((1, 2), (3, 4), (5, 6))),)
+
+
+def test_block_families_hold_the_swaps_and_internal_automorphisms(rng):
+    # every family's transports give swaps, its internal permutations are
+    # exactly the automorphisms fixing every vertex outside its first block,
+    # and any two components of G - c of 2 or 3 vertices that some
+    # automorphism fixing the rest swaps lie in one family
+    from symlab import brute_force_automorphisms
+    graphs = [_oracles.hung_blocks_graph(rng, 8) for _ in range(150)]
+    graphs += [friendship(3), corona(path(3), complete(1)), path(5),
+               from_edge_list(7, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (4, 6)])]
+    seen = 0
+    for g in graphs:
+        auts = set(brute_force_automorphisms(g))
+        for fam in g.block_families:
+            seen += 1
+            first = fam.blocks[0]
+            for blk in fam.blocks[1:]:
+                sigma = list(range(g.n))
+                for u, w in zip(first, blk):
+                    sigma[u], sigma[w] = w, u
+                assert tuple(sigma) in auts
+            inner = set()
+            for k in ((*range(len(first)),), *fam.internal):
+                sigma = list(range(g.n))
+                for j, v in enumerate(first):
+                    sigma[v] = first[k[j]]
+                inner.add(tuple(sigma))
+            outside = [v for v in range(g.n) if v not in first]
+            assert inner == {s for s in auts if all(s[v] == v for v in outside)}
+        together = {(min(x), min(y)) for fam in g.block_families
+                    for x in fam.blocks for y in fam.blocks}
+        for c, parts in g.cut_components:
+            blocks = [p for p in parts if 2 <= len(p) <= 3]
+            for b1, b2 in itertools.combinations(blocks, 2):
+                fixed = [v for v in range(g.n) if v not in b1 + b2]
+                if any(all(s[v] == v for v in fixed) and s[b1[0]] in b2 for s in auts):
+                    assert (b1[0], b2[0]) in together
+    assert seen > 50
+    [fam] = friendship(3).block_families
+    assert fam.blocks == ((1, 2), (3, 4), (5, 6)) and fam.internal == ((1, 0),)
+    # blocks of four vertices are beyond the limit
+    assert from_edge_list(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)]
+                          ).block_families == ()
+
+
 # ---------------------------------------------------------------------------
 # graph6
 # ---------------------------------------------------------------------------

@@ -330,6 +330,21 @@ def test_friendship_formulas_match_search_through_eight():
         assert determining_number(g, ctx=ctx)[0] == friendship_determining_number(n)
 
 
+def test_friendship_reports_match_the_closed_forms():
+    # the lower sides of Thm3.1 and Thm3.3 rest on the block prune's
+    # counting (notes/decisions.md, "Interchangeable blocks"): every report
+    # through 14 triangles matches the closed forms, witnesses re-checked
+    from symlab import (friendship_cost, friendship_determining_number,
+                        friendship_distinguishing_number)
+    for n in range(2, 15):
+        g = friendship(n)
+        report = invariant_report(g)
+        assert (report.distinguishing_number, report.cost, report.determining_number) == (
+            friendship_distinguishing_number(n), friendship_cost(n),
+            friendship_determining_number(n)), n
+        assert check_witnesses(g, report) == [], n
+
+
 def test_petersen_invariants():
     # outer 5-cycle, inner pentagram, spokes; classic reference values
     from symlab import from_edge_list
@@ -386,12 +401,20 @@ class _Forgetful(list):
     add = append
 
 
+def _two_branch_tree():
+    # a tree whose root holds two isomorphic 3-vertex branches, each a star
+    # rooted at its middle vertex, and one 2-vertex path
+    from symlab import from_edge_list
+    return from_edge_list(9, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (4, 6), (0, 7), (7, 8)])
+
+
 def _prune_corpus(rng):
-    # 300 random graphs of order <= 8, and four symmetric graphs, each as
+    # 300 random graphs of order <= 8, and six symmetric graphs, each as
     # built and under five relabelings
     graphs = [_oracles.random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7)))
               for _ in range(300)]
-    for g in (friendship(4), hypercube(3), star(6), corona(path(3), complete(2))):
+    for g in (friendship(4), friendship(5), hypercube(3), star(6),
+              corona(path(3), complete(2)), _two_branch_tree()):
         graphs.append(g)
         for key in range(5):
             sigma = list(range(g.n))
@@ -401,18 +424,21 @@ def _prune_corpus(rng):
 
 
 def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
-    # the coset-table orbit prune, the twin and swap tests, the context's
-    # known automorphisms and rigid partitions and the swap-class bounds only
-    # skip work: with no tables, no swap classes and an engine query at every
-    # node, D, rho, det and their witnesses are the same (notes/decisions.md,
-    # "Coset tables, twins, swaps and known automorphisms" and "Swap classes
-    # bound D, det and ρ")
+    # the coset-table orbit prune, the twin and swap tests, the block prune,
+    # the context's known automorphisms and rigid partitions and the
+    # swap-class bounds only skip work: with no tables, no swap classes, no
+    # block families and an engine query at every node, D, rho, det and
+    # their witnesses are the same (notes/decisions.md, "Coset tables, twins,
+    # swaps and known automorphisms", "Swap classes bound D, det and ρ" and
+    # "Interchangeable blocks")
     from symlab import Graph, aut, invariants
     graphs = _prune_corpus(rng)
+    assert any(g.block_families for g in graphs)
     pruned = [_searches(g) for g in graphs]
     monkeypatch.setattr(invariants, "_lex_tables", lambda ctx, fixed: [])
     monkeypatch.setattr(invariants._LabelSearch, "_has_twin", lambda self, i: True)
     monkeypatch.setattr(Graph, "swap_classes", ())
+    monkeypatch.setattr(Graph, "block_families", ())
     init = aut.AutContext.__init__
 
     def forgetful_init(self, *args, **kwargs):
@@ -426,6 +452,74 @@ def test_labeling_witnesses_do_not_depend_on_the_prunes(rng, monkeypatch):
     assert [got for got, _ in unpruned] == [got for got, _ in pruned]
     # the prunes were in force
     assert sum(used for _, used in unpruned) > sum(used for _, used in pruned)
+
+
+def test_block_prune_matches_brute_force_through_order_7():
+    # every connected graph of order <= 7 with a family of interchangeable
+    # blocks, one per isomorphism class: D and rho equal the brute-force
+    # values, which use neither the engine nor the prune (notes/decisions.md,
+    # "Interchangeable blocks")
+    from symlab import brute_force_automorphisms
+    from symlab.verifier import _OrbitMarks
+    checked = 0
+    for n in range(1, 8):
+        for _, _, g in _OrbitMarks(n).stream():
+            if g is None or not g.block_families:
+                continue
+            elements = brute_force_automorphisms(g)
+            ctx = AutContext(g)
+            d, _ = distinguishing_number(g, ctx=ctx)
+            assert d == _oracles.brute_distinguishing(g, elements), g.adj
+            assert cost(g, d=d, ctx=ctx)[0] == _oracles.brute_cost(g, d, elements), g.adj
+            checked += 1
+    # 2 of order 5, 2 of order 6 and 14 of order 7
+    assert checked == 18
+
+
+def _report_used(g):
+    budget = Budget()
+    report = invariant_report(g, AutContext(g, budget))
+    return report, budget.used
+
+
+def test_block_families_make_no_engine_query(monkeypatch):
+    # families come from the graph's edges alone: finding them refines
+    # nothing, so a graph without one is searched node for node as with the
+    # prune off, and a graph with one spends less
+    from symlab import Graph, aut
+    graphs = [friendship(5), corona(path(3), complete(2)), _two_branch_tree(),
+              hypercube(3), cycle(8), star(6), corona(path(4), complete(3))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("queried the engine")
+
+    with monkeypatch.context() as m:
+        m.setattr(aut._Engine, "refine", refuse)
+        assert [len(g.block_families) for g in graphs] == [1, 1, 1, 0, 0, 0, 0]
+    pruned = [_report_used(g) for g in graphs]
+    monkeypatch.setattr(Graph, "block_families", ())
+    plain = [_report_used(Graph(g.n, g.adj)) for g in graphs]
+    assert [report for report, _ in pruned] == [report for report, _ in plain]
+    assert [used for _, used in pruned[3:]] == [used for _, used in plain[3:]]
+    assert all(p < q for (_, p), (_, q) in zip(pruned[:3], plain[:3]))
+
+
+def test_blocks_beyond_the_limit_are_searched_as_before(monkeypatch):
+    # two 4-vertex paths hang from vertex 0: interchangeable, but beyond
+    # BLOCK_LIMIT, so the graph has no family and spends what it spends with
+    # the prune off; with the limit raised the prune would cut
+    from symlab import Graph, from_edge_list, graphs
+    g = from_edge_list(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)])
+    assert g.block_families == ()
+    as_built = _report_used(g)
+    with monkeypatch.context() as m:
+        m.setattr(Graph, "block_families", ())
+        assert _report_used(Graph(g.n, g.adj)) == as_built
+    monkeypatch.setattr(graphs, "BLOCK_LIMIT", 4)
+    wider = Graph(g.n, g.adj)
+    assert len(wider.block_families) == 1
+    report, used = _report_used(wider)
+    assert report == as_built[0] and used < as_built[1]
 
 
 def _decided(graphs, monkeypatch):
