@@ -388,6 +388,21 @@ def pointwise_colors(n: int, vertices: Iterable[int]) -> list[int]:
     return labeling_colors(n, {v: i + 1 for i, v in enumerate(sorted(set(vertices)))}, 0)
 
 
+def byte_tables(images: Sequence[int]) -> list[list[int]]:
+    """Per byte of a bitmask, the image of each value of that byte under the
+    map that takes bit i to the bitmask ``images[i]`` and a union of bits to
+    the union of their images.  Built by doubling: the values below 2^j
+    extended by bit j are those values' images plus the image of bit j.  A
+    last byte of k < 8 bits has 2^k values."""
+    tables = []
+    for shift in range(0, len(images), 8):
+        table = [0]
+        for image in images[shift:shift + 8]:
+            table += [t | image for t in table]
+        tables.append(table)
+    return tables
+
+
 def enumerate_elements(group: PermGroup) -> Iterator[Perm]:
     """Each group element once, lazily, the identity first: the products of
     one representative per level of the group's transversals."""
@@ -494,20 +509,10 @@ class AutContext:
     @cached_property
     def _set_moves(self) -> list[list[tuple[int, list[int]]]]:
         # per generator and per byte of a vertex bitmask, the byte's shift and
-        # the image of each byte value: the values below 2^j extended by bit
-        # j are those values' images plus the image of bit j
-        n = self.graph.n
-        moves = []
-        for gen in self.full.generators:
-            tables = []
-            for shift in range(0, n, 8):
-                table = [0]
-                for v in gen[shift:shift + 8]:
-                    bit = 1 << v
-                    table += [image | bit for image in table]
-                tables.append((shift, table))
-            moves.append(tables)
-        return moves
+        # the image of each byte value
+        shifts = range(0, self.graph.n, 8)
+        return [list(zip(shifts, byte_tables([1 << v for v in gen])))
+                for gen in self.full.generators]
 
     def subset_orbit(self, vertices: Iterable[int]) -> set[int]:
         """Orbit of a vertex set under the full group's generators, each set

@@ -95,65 +95,18 @@ class Graph:
         return tuple(sorted(tuple(c) for c in by_nbhd.values() if len(c) > 1))
 
     @cached_property
-    def cut_components(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-        """Each cut vertex c, in increasing order, with the components of
-        G - c that hold a neighbor of c, each sorted, in order of their least
-        vertex.  One depth-first search (Hopcroft and Tarjan): a child u of c
-        whose subtree has no edge above c cuts that subtree off, and when c
-        is not a root the rest of its tree is one more component."""
-        n, adj = self.n, self.adj_lists
-        disc, low, size, parent = [-1] * n, [0] * n, [1] * n, [-1] * n
-        pre: list[int] = []
-        cut: dict[int, list[int]] = {}
-        tree: dict[int, range] = {}
-        for r in range(n):
-            if disc[r] >= 0:
-                continue
-            first = len(pre)
-            disc[r] = low[r] = first
-            pre.append(r)
-            stack = [(r, iter(adj[r]))]
-            while stack:
-                v, todo = stack[-1]
-                for w in todo:
-                    if disc[w] < 0:
-                        parent[w] = v
-                        disc[w] = low[w] = len(pre)
-                        pre.append(w)
-                        stack.append((w, iter(adj[w])))
-                        break
-                    low[v] = min(low[v], disc[w])
-                else:
-                    stack.pop()
-                    p = parent[v]
-                    if p >= 0:
-                        low[p] = min(low[p], low[v])
-                        size[p] += size[v]
-                        if low[v] >= disc[p]:
-                            cut.setdefault(p, []).append(v)
-            span = range(first, len(pre))
-            for v in pre[first:]:
-                tree[v] = span
-        out = []
-        for c in sorted(cut):
-            parts = [sorted(pre[disc[u]:disc[u] + size[u]]) for u in cut[c]]
-            if parent[c] >= 0:
-                away = {v for part in parts for v in part} | {c}
-                parts.append(sorted(pre[i] for i in tree[c] if pre[i] not in away))
-            if len(parts) > 1:
-                out.append((c, tuple(sorted(map(tuple, parts)))))
-        return tuple(out)
-
-    @cached_property
     def block_families(self) -> tuple[BlockFamily, ...]:
         """The families of at least two interchangeable blocks of 2 to
-        ``BLOCK_LIMIT`` vertices, per cut vertex c in increasing order.  Two
-        components of G - c are interchangeable when a bijection between
-        them keeps the edges inside them and to c: edges leave a component
-        only to c, so the bijection on one, its inverse on the other and the
-        identity elsewhere is an automorphism.  Each block is listed in the
-        order of its vertices that gives the least such edge pattern, so
-        equal patterns give the transport position by position."""
+        ``BLOCK_LIMIT`` vertices, per vertex c in increasing order.  The
+        blocks of c are the components of G - c that hold a neighbor of c and
+        have 2 to ``BLOCK_LIMIT`` vertices; each is grown from a neighbor,
+        and its growth stops once it passes the limit.  Two blocks of c are
+        interchangeable when a bijection between them keeps the edges inside
+        them and to c: edges leave a block only to c, so the bijection on
+        one, its inverse on the other and the identity elsewhere is an
+        automorphism.  Each block is listed in the order of its vertices that
+        gives the least such edge pattern, so equal patterns give the
+        transport position by position."""
         bits = self.adj_bits
 
         def pattern(c: int, order: tuple[int, ...]) -> tuple[int, ...]:
@@ -161,12 +114,30 @@ class Graph:
                     *(bits[u] >> w & 1 for u, w in itertools.combinations(order, 2)))
 
         families = []
-        for c, parts in self.cut_components:
+        for c, near in enumerate(self.adj_lists):
+            parts, reached, away = [], 0, ~(1 << c)
+            for s in near:
+                # s and its neighbors but c are deg(s) vertices of one component
+                if reached >> s & 1 or len(self.adj[s]) > BLOCK_LIMIT:
+                    continue
+                part = frontier = 1 << s
+                found = []
+                while frontier and part.bit_count() <= BLOCK_LIMIT:
+                    grown = 0
+                    while frontier:
+                        b = frontier & -frontier
+                        found.append(b.bit_length() - 1)
+                        grown |= bits[found[-1]]
+                        frontier ^= b
+                    frontier = grown & away & ~part
+                    part |= frontier
+                reached |= part
+                if not frontier and len(found) > 1:  # closed within the limit
+                    parts.append(tuple(sorted(found)))
             shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            for part in parts:
-                if 2 <= len(part) <= BLOCK_LIMIT:
-                    order = min(itertools.permutations(part), key=lambda o: pattern(c, o))
-                    shapes.setdefault(pattern(c, order), []).append(order)
+            for part in sorted(parts):
+                order = min(itertools.permutations(part), key=lambda o: pattern(c, o))
+                shapes.setdefault(pattern(c, order), []).append(order)
             for shape, blocks in shapes.items():
                 if len(blocks) > 1:
                     first = blocks[0]

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import families
 from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET, PermGroup,
-                  automorphisms, brute_force_automorphisms, enumerate_elements,
+                  automorphisms, brute_force_automorphisms, byte_tables, enumerate_elements,
                   labeling_colors)
 from .graphs import (MAX_FAMILY_ORDER, FamilySpec, FamilySpecError, Graph, Graph6Error,
                      corona, emit_graph6, friendship, from_edge_list, hypercube,
@@ -125,18 +125,10 @@ class _OrbitMarks:
         self.sizes: list[int] = []
         self.rows: list[tuple[int, list[Verdict]] | None] = []
         gens = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
-        # per generator and per byte of a mask (at most 21 bits), the image
-        # of each byte value: that of the value without its lowest bit, plus
-        # the image of that bit
-        self.moves = []
-        for s in gens:
-            image = [bit[tuple(sorted((s[u], s[v])))] for u, v in pairs] + [0] * (24 - len(pairs))
-            tables = [[0] * 256 for _ in range(3)]
-            for k, t in enumerate(tables):
-                for value in range(1, 256):
-                    low = value & -value
-                    t[value] = t[value ^ low] | image[8 * k + low.bit_length() - 1]
-            self.moves.append(tables)
+        # per generator and per byte of a mask, the image of each byte value;
+        # the at most 21 bits are padded to three bytes for _mark's lookups
+        self.moves = [byte_tables([bit[tuple(sorted((s[u], s[v])))] for u, v in pairs]
+                                  + [0] * (24 - len(pairs))) for s in gens]
 
     def _mark(self, mask: int, value: int) -> int:
         """Mark the orbit of ``mask`` with ``value``; returns its size."""

@@ -375,6 +375,23 @@ def test_context_backends_agree(rng):
             assert ctx.pointwise_trivial(subset) == want
 
 
+def test_subset_orbits_are_the_images_under_every_element(rng):
+    # a vertex set's orbit, as bitmasks, is its set of images under every
+    # element of the full group; orders 9 to 16 give masks of two bytes,
+    # most with a partial last byte
+    graphs = [cycle(12), hypercube(4), friendship(5)]
+    graphs += [_oracles.hung_blocks_graph(rng, k) for k in (10, 13, 16)]
+    graphs += [_oracles.random_graph(rng, k, 0.3) for k in (9, 11, 14)]
+    for g in graphs:
+        ctx = AutContext(g)
+        elements = list(enumerate_elements(ctx.full))
+        subsets = [[], list(range(g.n))]
+        subsets += [rng.sample(range(g.n), k) for k in (1, 2, 3, g.n // 2, g.n - 1)]
+        for vs in subsets:
+            want = {sum(1 << p[v] for v in vs) for p in elements}
+            assert ctx.subset_orbit(vs) == want, (g.adj, vs)
+
+
 def test_rigid_partitions_are_remembered(monkeypatch):
     # a rigid coloring asked again with its classes under other values is
     # answered from the context's rigid partitions: one node, no refinement

@@ -175,52 +175,45 @@ def _components_without(g, c):
     return tuple(sorted(parts))
 
 
-def test_cut_components_match_a_scan_without_each_vertex(rng):
-    graphs = [_oracles.random_graph(rng, rng.randint(1, 11), rng.choice((0.1, 0.2, 0.3, 0.5)))
-              for _ in range(400)]
-    graphs += [friendship(4), star(5), path(6), cycle(5), from_edge_list(5, [(0, 1), (2, 3), (3, 4)])]
-    for g in graphs:
-        want = tuple((c, parts) for c in range(g.n)
-                     if len(parts := _components_without(g, c)) > 1)
-        assert g.cut_components == want, g.adj
-    assert friendship(3).cut_components == ((0, ((1, 2), (3, 4), (5, 6))),)
+def _keeps_edges(g, moves):
+    # True iff the permutation taking each key of ``moves`` to its value and
+    # fixing every other vertex is an automorphism of g
+    sigma = [moves.get(v, v) for v in range(g.n)]
+    return all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
 
 
 def test_block_families_hold_the_swaps_and_internal_automorphisms(rng):
     # every family's transports give swaps, its internal permutations are
     # exactly the automorphisms fixing every vertex outside its first block,
     # and any two components of G - c of 2 or 3 vertices that some
-    # automorphism fixing the rest swaps lie in one family
-    from symlab import brute_force_automorphisms
+    # automorphism fixing the rest swaps lie in one family; automorphisms
+    # that fix all but a few vertices are tested edge by edge
     graphs = [_oracles.hung_blocks_graph(rng, 8) for _ in range(150)]
-    graphs += [friendship(3), corona(path(3), complete(1)), path(5),
-               from_edge_list(7, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (4, 6)])]
+    graphs += [_oracles.random_graph(rng, rng.randint(1, 11), rng.choice((0.1, 0.2, 0.3, 0.5)))
+               for _ in range(400)]
+    graphs += [friendship(3), corona(path(3), complete(1)), path(5), star(5), cycle(5),
+               from_edge_list(7, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (4, 6)]),
+               from_edge_list(5, [(0, 1), (2, 3), (3, 4)])]
     seen = 0
     for g in graphs:
-        auts = set(brute_force_automorphisms(g))
         for fam in g.block_families:
             seen += 1
+            assert [min(b) for b in fam.blocks] == sorted(min(b) for b in fam.blocks)
             first = fam.blocks[0]
             for blk in fam.blocks[1:]:
-                sigma = list(range(g.n))
-                for u, w in zip(first, blk):
-                    sigma[u], sigma[w] = w, u
-                assert tuple(sigma) in auts
-            inner = set()
-            for k in ((*range(len(first)),), *fam.internal):
-                sigma = list(range(g.n))
-                for j, v in enumerate(first):
-                    sigma[v] = first[k[j]]
-                inner.add(tuple(sigma))
-            outside = [v for v in range(g.n) if v not in first]
-            assert inner == {s for s in auts if all(s[v] == v for v in outside)}
+                assert _keeps_edges(g, {**dict(zip(first, blk)), **dict(zip(blk, first))})
+            inner = {k for k in itertools.permutations(range(len(first)))
+                     if _keeps_edges(g, {v: first[k[j]] for j, v in enumerate(first)})}
+            assert inner == {(*range(len(first)),), *fam.internal}
+            assert len(fam.internal) == len(inner) - 1
         together = {(min(x), min(y)) for fam in g.block_families
                     for x in fam.blocks for y in fam.blocks}
-        for c, parts in g.cut_components:
-            blocks = [p for p in parts if 2 <= len(p) <= 3]
+        for c in range(g.n):
+            blocks = [p for p in _components_without(g, c) if 2 <= len(p) <= 3]
             for b1, b2 in itertools.combinations(blocks, 2):
-                fixed = [v for v in range(g.n) if v not in b1 + b2]
-                if any(all(s[v] == v for v in fixed) and s[b1[0]] in b2 for s in auts):
+                if len(b1) == len(b2) and any(
+                        _keeps_edges(g, {**dict(zip(b1, img)), **dict(zip(img, b1))})
+                        for img in itertools.permutations(b2)):
                     assert (b1[0], b2[0]) in together
     assert seen > 50
     [fam] = friendship(3).block_families
@@ -228,6 +221,10 @@ def test_block_families_hold_the_swaps_and_internal_automorphisms(rng):
     # blocks of four vertices are beyond the limit
     assert from_edge_list(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)]
                           ).block_families == ()
+    # large inputs: one family of 500 blades, and no two equal blocks on one vertex
+    [fam] = friendship(500).block_families
+    assert len(fam.blocks) == 500 and fam.blocks[-1] == (999, 1000)
+    assert star(1000).block_families == corona(path(300), complete(2)).block_families == ()
 
 
 # ---------------------------------------------------------------------------
