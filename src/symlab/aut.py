@@ -10,6 +10,8 @@ vertex coloring, using individualization-refinement backtracking:
   finds one coset representative per orbit point.  The group keeps these
   transversals, one per level of this first-path stabilizer chain: its order
   is the product of their sizes, its elements their products.
+* ``point_stabilizer`` derives, with no search, the stabilizer of a point
+  from a group's generators and order by Schreier's lemma.
 
 All searches are deterministic (fixed cell selection, vertices branched in
 index order) and guarded by a node budget: exhausting the budget raises,
@@ -55,7 +57,7 @@ class Budget:
             raise BudgetExceededError(f"search budget of {self.cap} nodes exhausted")
 
     def recall(self) -> None:
-        """One node for a query answered without a search (not a refinement)."""
+        """One node of work that is not a refinement."""
         self.used += 1
         if self.used > self.cap:
             raise BudgetExceededError(f"search budget of {self.cap} nodes exhausted")
@@ -135,7 +137,7 @@ def _orbit(v: int, gens: Sequence[Perm]) -> set[int]:
     return orbit
 
 
-def _orbit_partition(n: int, gens: Sequence[Perm]) -> tuple[tuple[int, ...], ...]:
+def orbit_partition(n: int, gens: Sequence[Perm]) -> tuple[tuple[int, ...], ...]:
     """The orbits of ``gens`` as sorted tuples, in order of their least point."""
     orbits = []
     seen: set[int] = set()
@@ -145,6 +147,13 @@ def _orbit_partition(n: int, gens: Sequence[Perm]) -> tuple[tuple[int, ...], ...
             seen |= orbit
             orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)
+
+
+def _inverse(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for x, y in enumerate(p):
+        inv[y] = x
+    return tuple(inv)
 
 
 def _transversal(n: int, beta: int, gens: Sequence[Perm], trans: dict | None = None) -> dict[int, Perm]:
@@ -162,6 +171,83 @@ def _transversal(n: int, beta: int, gens: Sequence[Perm], trans: dict | None = N
                 trans[w] = compose(g, trans[v])
                 frontier.append(w)
     return trans
+
+
+def _orbit_bound(n: int, levels: Mapping[int, Mapping[int, Perm]]) -> int:
+    """A lower bound on the order of the group generated by the permutations
+    in ``levels``, where those at i fix 0..i-1 and move i: the product over
+    i of the length of i's orbit under those at i and above, merged in a
+    union-find forest from the top level down (``notes/decisions.md``,
+    "Pointwise stabilizers by Schreier's lemma")."""
+    root = list(range(n))
+    size = [1] * n
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    ident = identity_perm(n)
+    bound = 1
+    for i in sorted(levels, reverse=True):
+        for k in levels[i].values():
+            for x in itertools.compress(ident, map(operator.ne, k, ident)):
+                a, b = find(x), find(k[x])
+                if a != b:
+                    root[b] = a
+                    size[a] += size[b]
+        bound *= size[find(i)]
+    return bound
+
+
+def point_stabilizer(n: int, gens: Sequence[Perm], order: int, v: int,
+                     budget: Budget) -> tuple[list[Perm], int]:
+    """Generators and order of the stabilizer of v in the group of ``order``
+    elements that ``gens`` generate, by Schreier's lemma: the order over the
+    length of v's orbit, and the Schreier generators t_{s(u)}⁻¹ s t_u, for
+    each generator s and each t_u in v's transversal, each formed spending
+    one node.
+
+    Sims's filter sifts them: while a kept element has the same first moved
+    point i and image of i, a generator is replaced by that one's inverse
+    times it, which fixes i too; it is kept once its pair is new, and
+    dropped as the identity.  Once the kept elements' orbit bound reaches
+    the order, checked before the generators of each u, they generate the
+    whole stabilizer and the rest are not formed."""
+    trans = _transversal(n, v, gens)
+    order //= len(trans)
+    ident = identity_perm(n)
+    # first moved point -> its image -> the inverse of the kept element; the
+    # inverses generate the same group, so they are what is returned
+    levels: dict[int, dict[int, Perm]] = {}
+    inverses: dict[int, Perm] = {}
+    kept, checked = 0, None
+    for u, t in trans.items():
+        if checked != kept:
+            checked = kept
+            if _orbit_bound(n, levels) == order:
+                break
+        # itemgetter(*p)(q) is q after p, in one pass; a group that moves a
+        # point has n >= 2 points, so it gives a tuple
+        after_t = operator.itemgetter(*t)
+        for s in gens:
+            budget.recall()
+            w = s[u]
+            inv = inverses.get(w)
+            if inv is None:
+                inv = inverses[w] = _inverse(trans[w])
+            h = operator.itemgetter(*after_t(s))(inv)
+            i = next(itertools.compress(ident, map(operator.ne, h, ident)), None)
+            while i is not None:
+                level = levels.setdefault(i, {})
+                k = level.get(h[i])
+                if k is None:
+                    level[h[i]] = _inverse(h)
+                    kept += 1
+                    break
+                h = operator.itemgetter(*h)(k)
+                i = next(itertools.compress(ident, map(operator.ne, h, ident)), None)
+    return [k for level in levels.values() for k in level.values()], order
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +399,7 @@ class _Engine:
     def group(self) -> PermGroup:
         self.path = self._first_path()
         gens, levels = self._group_of(0)
-        return PermGroup(self.n, tuple(gens), _orbit_partition(self.n, gens),
+        return PermGroup(self.n, tuple(gens), orbit_partition(self.n, gens),
                          tuple(tuple(t.values()) for t in levels))
 
     def _group_of(self, depth: int, first: bool = False) -> tuple[list[Perm], list[dict]]:

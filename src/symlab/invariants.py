@@ -1,8 +1,9 @@
 """Distinguishing number, distinguishing cost, determining number, and
 subset distinguishability, each computed exactly with a verifiable witness.
 
-All three invariants reduce to colored-automorphism queries.  The labeling
-searches are complete backtracking with four prunes:
+D and the cost reduce to colored-automorphism queries, the determining
+number to the full group's point stabilizers.  The labeling searches are
+complete backtracking with four prunes:
 
 * dead-end prune: a nontrivial automorphism that preserves the partial
   labeling while fixing every unlabeled vertex survives any completion.
@@ -50,6 +51,11 @@ lex-least minimum determining set S reachable:
   h^-1(S) would be a determining set of the same size containing P and u,
   so lexicographically smaller than S.
 
+G_{P+v} is the stabilizer of v in G_P, so it comes from G_P by Schreier's
+lemma (``aut.point_stabilizer``), with no colored search, and P + v
+determines when v's G_P-orbit has |G_P| points (notes/decisions.md,
+"Pointwise stabilizers by Schreier's lemma").
+
 Swap classes (``Graph.swap_classes``) give all three searches lower bounds,
 since swapping two vertices of one class is an automorphism: a
 distinguishing labeling gives a class's vertices distinct labels, and a
@@ -73,7 +79,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .aut import AutContext, Perm, labeling_colors, pointwise_colors
+from .aut import AutContext, Perm, labeling_colors, orbit_partition, point_stabilizer
 from .graphs import BlockFamily, Graph, emit_graph6
 
 
@@ -427,30 +433,37 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
     raise AssertionError("no distinguishing labeling found at the known distinguishing number")
 
 
-def _base_search(ctx: AutContext, branches: dict[tuple[int, ...], list[int]],
+def _extensions(g: Graph, prefix: tuple[int, ...], gens: Sequence[Perm]) -> dict[int, int]:
+    """The vertices a prefix may grow by, each with the length of its orbit
+    under the prefix's pointwise stabilizer, which ``gens`` generate."""
+    low = prefix[-1] if prefix else -1
+    # an extension by v leaves out every vertex below v outside the prefix;
+    # past the second such vertex of one swap class, it leaves out two, whose
+    # swap fixes the set pointwise, and so does every larger v: the
+    # extensions stop there
+    left_out = ([u for u in cls if u not in prefix] for cls in g.swap_classes)
+    high = min((out[1] for out in left_out if len(out) > 1), default=g.n)
+    # orbits are sorted tuples, so orbit[0] is the least point of each
+    return {orbit[0]: len(orbit) for orbit in orbit_partition(g.n, gens)
+            if len(orbit) > 1 and low < orbit[0] <= high}
+
+
+def _base_search(ctx: AutContext, branches: dict[tuple[int, ...], tuple],
                  prefix: tuple[int, ...], todo: int) -> tuple[int, ...] | None:
     # module level, not a closure that calls itself: such a closure would hold
     # ctx in a reference cycle after the search returns
-    exts = branches.get(prefix)
-    if exts is None:
-        g = ctx.graph
-        group = ctx.group(pointwise_colors(g.n, prefix)) if prefix else ctx.full
-        low = prefix[-1] if prefix else -1
-        # an extension by v leaves out every vertex below v outside the
-        # prefix; past the second such vertex of one swap class, it leaves
-        # out two, whose swap fixes the set pointwise, and so does every
-        # larger v: the extensions stop there
-        left_out = ([u for u in cls if u not in prefix] for cls in g.swap_classes)
-        high = min((out[1] for out in left_out if len(out) > 1), default=g.n)
-        # orbits are sorted tuples, so orbit[0] is the least point of each
-        exts = branches[prefix] = sorted(orbit[0] for orbit in group.orbits
-                                         if len(orbit) > 1 and low < orbit[0] <= high)
-    for v in exts:
+    exts, gens, order = branches[prefix]
+    for v, size in exts.items():
         ext = prefix + (v,)
         if todo == 1:
-            if ctx.pointwise_trivial(ext):
+            # |G_{P+v}| = |G_P| / |v^{G_P}|
+            if size == order:
                 return ext
         else:
+            if ext not in branches:
+                g = ctx.graph
+                sub, sub_order = point_stabilizer(g.n, gens, order, v, ctx.budget)
+                branches[ext] = (_extensions(g, ext, sub), sub, sub_order)
             found = _base_search(ctx, branches, ext, todo - 1)
             if found is not None:
                 return found
@@ -462,13 +475,19 @@ def determining_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tu
 
     Iterative-deepening base search over sorted prefixes P: P grows only by
     vertices above max(P) that the pointwise stabilizer G_P moves and that are
-    least in their G_P-orbit.  Each prefix's extensions are computed once per
-    call, so deeper rounds reuse the stabilizer orbits of shallower ones.
+    least in their G_P-orbit.  G_P comes from its parent's stabilizer by
+    Schreier's lemma, the root's being the full group, with no colored search;
+    P + v determines when v's orbit has |G_P| points.  Each prefix's
+    stabilizer is computed once per call, so deeper rounds reuse those of
+    shallower ones.
     """
     ctx = ctx or AutContext(g)
     if ctx.full.order == 1:
         return 0, ()
-    branches: dict[tuple[int, ...], list[int]] = {}
+    gens = ctx.full.generators
+    # each prefix's extensions, with their orbit lengths, and its pointwise
+    # stabilizer's generators and order
+    branches = {(): (_extensions(g, (), gens), gens, ctx.full.order)}
     # a determining set leaves out at most one vertex of each swap class
     for k in range(max(1, sum(len(cls) - 1 for cls in g.swap_classes)), g.n + 1):
         found = _base_search(ctx, branches, (), k)

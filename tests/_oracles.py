@@ -102,6 +102,57 @@ def brute_determining(g: Graph, elements=None) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("the full vertex set determines")
 
 
+def colored_determining_number(g: Graph, ctx) -> tuple[int, tuple[int, ...]]:
+    """The determining-number base search with each prefix's pointwise
+    stabilizer from a colored group search (``ctx.group`` on the coloring that
+    individualizes the prefix) and a rigidity query at each leaf: a reference
+    for the search by Schreier's lemma, not independent of the engine."""
+    from symlab.aut import pointwise_colors
+    if ctx.full.order == 1:
+        return 0, ()
+    branches = {}
+
+    def search(prefix, todo):
+        exts = branches.get(prefix)
+        if exts is None:
+            group = ctx.group(pointwise_colors(g.n, prefix)) if prefix else ctx.full
+            low = prefix[-1] if prefix else -1
+            left_out = ([u for u in cls if u not in prefix] for cls in g.swap_classes)
+            high = min((out[1] for out in left_out if len(out) > 1), default=g.n)
+            exts = branches[prefix] = sorted(orbit[0] for orbit in group.orbits
+                                             if len(orbit) > 1 and low < orbit[0] <= high)
+        for v in exts:
+            ext = prefix + (v,)
+            if todo == 1:
+                found = ext if ctx.pointwise_trivial(ext) else None
+            else:
+                found = search(ext, todo - 1)
+            if found is not None:
+                return found
+        return None
+
+    for k in range(max(1, sum(len(cls) - 1 for cls in g.swap_classes)), g.n + 1):
+        found = search((), k)
+        if found is not None:
+            return k, found
+    raise AssertionError("the full vertex set always determines")
+
+
+def group_closure(n: int, gens) -> set[tuple[int, ...]]:
+    """Every element of the group that ``gens`` generate, by closing under
+    multiplication by the generators."""
+    found = {identity(n)}
+    frontier = list(found)
+    while frontier:
+        p = frontier.pop()
+        for s in gens:
+            q = tuple(s[x] for x in p)
+            if q not in found:
+                found.add(q)
+                frontier.append(q)
+    return found
+
+
 def brute_subset_distinguishing(g: Graph, w, elements=None) -> int:
     """Least label count making w a distinguishable subset, by full scan."""
     ws = sorted(w)

@@ -276,19 +276,19 @@ def test_brute_force_matches_permutation_filter_colored():
 # are the counts pinned when the case was added (the second one that of a
 # canonical-form search since removed); the current count follows it.
 _SEARCH_EFFORT = [pytest.param(spec, report, id=case) for case, spec, report in [
-    ("friendship:5-819-35", "friendship:5", 112),
-    ("hypercube:3-187-10", "hypercube:3", 81),
-    ("hypercube:4-418-15", "hypercube:4", 172),
-    ("cycle:12-118-6", "cycle:12", 49),
-    ("corona:(path:3),(complete:2)-410-15", "corona:(path:3),(complete:2)", 60),
-    ("complete_bipartite:5,5-1038-53", "complete_bipartite:5,5", 212),
-    ("star:10-1708-55", "star:10", 253),
+    ("friendship:5-819-35", "friendship:5", 85),
+    ("hypercube:3-187-10", "hypercube:3", 73),
+    ("hypercube:4-418-15", "hypercube:4", 150),
+    ("cycle:12-118-6", "cycle:12", 46),
+    ("corona:(path:3),(complete:2)-410-15", "corona:(path:3),(complete:2)", 44),
+    ("complete_bipartite:5,5-1038-53", "complete_bipartite:5,5", 128),
+    ("star:10-1708-55", "star:10", 132),
     # "spec@1": the graph under the vertex relabeling drawn with key 1, as
     # the labeling search's effort depends on the vertex labeling
-    ("friendship:6@1-7461-28", "friendship:6@1", 123),
-    ("hypercube:3@1-208-10", "hypercube:3@1", 72),
-    ("cycle:12@1-75-10", "cycle:12@1", 54),
-    ("corona:(path:3),(complete:2)@1-305-15", "corona:(path:3),(complete:2)@1", 41),
+    ("friendship:6@1-7461-28", "friendship:6@1", 87),
+    ("hypercube:3@1-208-10", "hypercube:3@1", 64),
+    ("cycle:12@1-75-10", "cycle:12@1", 53),
+    ("corona:(path:3),(complete:2)@1-305-15", "corona:(path:3),(complete:2)@1", 37),
 ]]
 
 
@@ -324,6 +324,40 @@ def test_search_effort_is_bounded_under_relabeling(spec):
     built = used(build_family(spec))
     for key in range(1, 11):
         assert used(_relabeled_family(spec, str(key))) <= 3 * built, (spec, key)
+
+
+def test_orbit_bound_is_the_product_of_level_orbits():
+    # the permutations at level i, keyed by the image of i, fix 0..i-1 and
+    # move i; the bound multiplies the length of i's orbit under those at i
+    # and above
+    adjacent = {0: {1: (1, 0, 2, 3)}, 1: {2: (0, 2, 1, 3)}, 2: {3: (0, 1, 3, 2)}}
+    assert aut._orbit_bound(4, adjacent) == 24
+    assert aut._orbit_bound(4, {0: {1: (1, 2, 0, 3)}}) == 3
+    assert aut._orbit_bound(4, {0: {1: (1, 0, 3, 2)}, 2: {3: (0, 1, 3, 2)}}) == 4
+    assert aut._orbit_bound(4, {}) == 1
+
+
+def test_point_stabilizer_stops_at_the_whole_stabilizer(rng):
+    # the Schreier generators of the stabilizer of each moved point stop once
+    # the kept ones' orbit bound reaches the stabilizer's order, which is the
+    # group's order over the point's orbit; the kept ones then generate a
+    # group of exactly that order, the stabilizer itself
+    graphs = [friendship(3), hypercube(3), complete(5), cycle(6), path(7),
+              from_edge_list(7, [(0, v) for v in range(1, 7)])]
+    graphs += [_oracles.random_graph(rng, n, 0.3) for n in range(2, 8) for _ in range(3)]
+    stopped = 0
+    for g in graphs:
+        group = automorphisms(g)
+        for orbit in group.orbits:
+            v = orbit[-1]
+            budget = Budget()
+            gens, order = aut.point_stabilizer(g.n, group.generators, group.order, v, budget)
+            assert order * len(orbit) == group.order
+            closure = _oracles.group_closure(g.n, gens)
+            assert len(closure) == order
+            assert all(p[v] == v for p in closure)
+            stopped += budget.used < len(orbit) * len(group.generators)
+    assert stopped
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 import _oracles
-from symlab import (AutContext, Budget, InvariantReport, automorphisms,
+from symlab import (AutContext, Budget, BudgetExceededError, InvariantReport, automorphisms,
                     check_witnesses, complete, corona, cost, cycle, determining_number,
                     distinguishing_number, friendship, hypercube, invariant_report,
                     is_determining_set, minimum_determining_sets, path, star,
@@ -152,6 +153,86 @@ def test_minimum_determining_sets_equal_the_flat_scan(rng):
         flat = [s for s in itertools.combinations(range(g.n), k) if ctx.pointwise_trivial(s)]
         assert minimum_determining_sets(g, ctx=ctx) == (flat, False)
         assert minimum_determining_sets(g, cap=3, ctx=ctx, det=k) == (flat[:3], len(flat) > 3)
+
+
+def test_stabilizer_chain_equals_the_colored_group(rng):
+    # the pointwise stabilizer of a sorted prefix, derived from the full group
+    # one point at a time by Schreier's lemma, has the order and the orbits of
+    # the colored group search on the coloring that individualizes the
+    # prefix, and through order 8 those of the brute-force automorphisms
+    # that fix the prefix
+    from symlab import build_family
+    from symlab.aut import orbit_partition, point_stabilizer, pointwise_colors
+    graphs = [_oracles.random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(200)]
+    golden_file = Path(__file__).resolve().parent.parent / "perfbench/golden/symmetric-panel.json"
+    graphs += [build_family(spec) for spec in json.loads(golden_file.read_text())]
+    for g in graphs:
+        elements = _oracles.brute_aut(g) if g.n <= 8 else None
+        for key in range(2):
+            sigma = list(range(g.n))
+            random.Random(key).shuffle(sigma)
+            h = _oracles.relabeled(g, sigma)
+            unsigma = sorted(range(g.n), key=sigma.__getitem__)
+            ctx = AutContext(h)
+            for _ in range(3):
+                prefix = sorted(rng.sample(range(h.n), rng.randint(0, min(h.n, 5))))
+                gens, order = ctx.full.generators, ctx.full.order
+                for v in prefix:
+                    gens, order = point_stabilizer(h.n, gens, order, v, ctx.budget)
+                group = ctx.group(pointwise_colors(h.n, prefix))
+                assert (order, orbit_partition(h.n, gens)) == (group.order, group.orbits)
+                if elements is not None:
+                    # h's automorphisms are sigma p sigma^-1 for those p of g
+                    fixing = [q for q in (tuple(sigma[p[u]] for u in unsigma) for p in elements)
+                              if all(q[v] == v for v in prefix)]
+                    assert order == len(fixing)
+                    assert orbit_partition(h.n, fixing) == group.orbits
+
+
+def test_determining_number_equals_the_colored_search(rng):
+    # det and its witness are those of the search that took each prefix's
+    # stabilizer from a colored group search
+    for g in _prune_corpus(rng):
+        assert determining_number(g) == _oracles.colored_determining_number(g, AutContext(g))
+
+
+def test_budget_bounds_the_schreier_work():
+    # every Schreier generator formed spends one node.  star:100's context
+    # set-up alone spends 5,050 nodes, more than a budget of 5,000, and its
+    # det search 4,949 more; a budget that admits the set-up and 2,000 more
+    # stops that search, within a few seconds
+    g = star(100)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        determining_number(g, ctx=AutContext(g, Budget(5_000)))
+    budget = Budget()
+    ctx = AutContext(g, budget)
+    budget.cap = budget.used + 2_000
+    with pytest.raises(BudgetExceededError):
+        determining_number(g, ctx=ctx)
+    assert time.perf_counter() - start < 5
+
+
+def _complete_tree(arity: int, depth: int):
+    from symlab import from_edge_list
+    n = (arity ** (depth + 1) - 1) // (arity - 1)
+    return from_edge_list(n, [(i, arity * i + j) for i in range(n) for j in range(1, arity + 1)
+                              if arity * i + j < n])
+
+
+@pytest.mark.parametrize("name, det, nodes", [
+    ("hypercube:6", 4, 79), ("binary tree, depth 4", 8, 3_291), ("star:60", 59, 1_769)])
+def test_large_det_effort_is_pinned(name, det, nodes):
+    # the nodes the det search itself spends, context set-up excluded: a
+    # change that bloats the Schreier work fails here with no wall clock
+    from symlab import build_family
+    g = _complete_tree(2, 4) if name.startswith("binary") else build_family(name)
+    budget = Budget()
+    ctx = AutContext(g, budget)
+    setup = budget.used
+    assert determining_number(g, ctx=ctx)[0] == det
+    assert budget.used - setup == nodes
 
 
 # ---------------------------------------------------------------------------
