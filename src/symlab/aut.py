@@ -7,11 +7,16 @@ vertex coloring, using individualization-refinement backtracking:
   two vertices in a class see the same multiset of neighbor classes).
 * The group search individualizes one vertex of the first smallest
   non-singleton class, recursively computes that vertex's stabilizer, and
-  finds one coset representative per orbit point.  The group keeps these
-  transversals, one per level of this first-path stabilizer chain: its order
-  is the product of their sizes, its elements their products.
+  finds one coset representative per orbit point.  Before it searches, it
+  takes the twin transpositions and block swaps that the graph's structure
+  shows (``_structural_moves``).  The group keeps these transversals, one
+  per level of this first-path stabilizer chain: its order is the product
+  of their sizes, its elements their products.
 * ``point_stabilizer`` derives, with no search, the stabilizer of a point
   from a group's generators and order by Schreier's lemma.
+* ``AutContext`` keeps one graph's full group and answers colored queries
+  with the automorphisms it knows, the full group's generators first,
+  before it searches.
 
 All searches are deterministic (fixed cell selection, vertices branched in
 index order) and guarded by a node budget: exhausting the budget raises,
@@ -168,7 +173,9 @@ def _transversal(n: int, beta: int, gens: Sequence[Perm], trans: dict | None = N
         for g in gens:
             w = g[v]
             if w not in trans:
-                trans[w] = compose(g, trans[v])
+                # g after trans[v] in one pass; g moves v, so n >= 2 and
+                # itemgetter gives a tuple
+                trans[w] = operator.itemgetter(*trans[v])(g)
                 frontier.append(w)
     return trans
 
@@ -250,6 +257,29 @@ def point_stabilizer(n: int, gens: Sequence[Perm], order: int, v: int,
     return [k for level in levels.values() for k in level.values()], order
 
 
+def _structural_moves(g: Graph, v: int) -> Iterator[dict[int, int]]:
+    """The automorphisms of ``g`` that move v and that its structure shows
+    with no search, each as the map of the points it moves: v's
+    transpositions with the rest of its swap class (``Graph.swap_classes``),
+    then, per family with a block holding v (``Graph.block_families``), the
+    swaps of that block with each other block and the family's internal
+    maps carried into it (notes/decisions.md, "Structural automorphisms seed
+    the group search")."""
+    for cls in g.swap_classes:
+        if v in cls:
+            yield from ({v: w, w: v} for w in cls if w != v)
+    for fam in g.block_families:
+        for blk in fam.blocks:
+            if v in blk:
+                for other in fam.blocks:
+                    if other is not blk:
+                        yield {**dict(zip(blk, other)), **dict(zip(other, blk))}
+                for k in fam.internal:
+                    move = {u: blk[j] for u, j in zip(blk, k) if u != blk[j]}
+                    if v in move:
+                        yield move
+
+
 # ---------------------------------------------------------------------------
 # the search engine
 # ---------------------------------------------------------------------------
@@ -258,6 +288,7 @@ class _Engine:
     """One individualization-refinement search over a fixed graph + coloring."""
 
     def __init__(self, graph: Graph, root_colors: Sequence[int], budget: Budget):
+        self.graph = graph
         self.n = graph.n
         self.adj = graph.adj_lists
         self.bits = graph.adj_bits
@@ -406,7 +437,10 @@ class _Engine:
         """Generators of the group fixing the first path's coloring at
         ``depth`` and its transversals, top level first; with ``first``,
         return as soon as one generator is found (the transversals are then
-        incomplete)."""
+        incomplete).  Without ``first``, the structural moves of the base
+        point that keep the coloring and grow its orbit are generators
+        before any candidate image is searched: each lies in this level's
+        group, so the transversal still ends as the whole orbit."""
         colors, _, cell = self.path[depth]
         if cell is None:
             return [], []
@@ -415,6 +449,12 @@ class _Engine:
         if first and gens:
             return gens, levels
         trans = _transversal(self.n, beta, gens)
+        if not first:
+            for move in _structural_moves(self.graph, beta):
+                if move[beta] not in trans and all(colors[w] == colors[v]
+                                                   for v, w in move.items()):
+                    gens.append(tuple([move.get(u, u) for u in range(self.n)]))
+                    _transversal(self.n, beta, gens, trans)
         for v in cell[1:]:
             if v in trans:
                 continue
@@ -546,19 +586,23 @@ def refine(g: Graph, colors: Sequence[int], budget: Budget | None = None) -> tup
 # ---------------------------------------------------------------------------
 
 class AutContext:
-    """One graph's full automorphism group, kept, the nontrivial automorphisms
-    its colored queries have found, the partitions they have proved rigid, and
-    a node budget that every query spends.  A query whose colors a found
+    """One graph's full automorphism group, kept, the automorphisms it knows
+    (the full group's generators, then those its colored queries have
+    found), the partitions those queries have proved rigid, and a node
+    budget that every query spends.  A query whose colors a known
     automorphism keeps, or whose partition was proved rigid, is answered
     without a search, for one node (``notes/decisions.md``, "Coset tables,
-    twins, swaps and known automorphisms")."""
+    twins, swaps and known automorphisms" and "Structural automorphisms
+    seed the group search")."""
 
     def __init__(self, graph: Graph, budget: Budget | None = None):
         self.graph = graph
         self.budget = budget or Budget()
         self.full = automorphisms(graph, budget=self.budget)
-        # each found automorphism with the itemgetter that reads colors through it
-        self._known: list[tuple[Perm, operator.itemgetter]] = []
+        # the full group's generators, then each automorphism a query found,
+        # with the itemgetter that reads colors through it
+        self._known: list[tuple[Perm, operator.itemgetter]] = [
+            (gen, operator.itemgetter(*gen)) for gen in self.full.generators]
         # rigid colorings, classes renamed by first occurrence
         self._rigid: set[tuple[int, ...]] = set()
 

@@ -29,7 +29,10 @@ colors, and searches only when none does.
 
 Label names are canonicalized by first use, so label permutations are never
 re-explored.  The cost search tries, for each class size, the lex-least
-class of every Aut(G)-orbit in lexicographic order.
+class of every Aut(G)-orbit in lexicographic order.  At D = 2 a class S
+has one labeling, and it distinguishes iff S's orbit has |Aut(G)| sets,
+so no labeling search is made (notes/decisions.md, "D = 2 cost classes by
+orbit size").
 
 The prunes hold in any branch order, so a D pool or a cost class has a
 distinguishing labeling in one order iff it has one in any other.  Each is
@@ -389,12 +392,13 @@ def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int,
     return d, tuple(witness)
 
 
-def _class_candidates(ctx: AutContext, k: int, d: int) -> Iterator[tuple[int, ...]]:
+def _class_candidates(ctx: AutContext, k: int, d: int) -> Iterator[tuple[tuple[int, ...], int]]:
     # the lex-least k-set of each Aut(G)-orbit that can be the class labeled
-    # d, in lexicographic order: it holds only the least vertex of a swap
-    # class or vertices in none, and the least of each class of size d (module
-    # docstring).  Seen sets are vertex bitmasks, which take far less memory
-    # than frozensets (C(16, 5) of them on Q_4)
+    # d, in lexicographic order, with the length of its orbit: it holds only
+    # the least vertex of a swap class or vertices in none, and the least of
+    # each class of size d (module docstring).  Seen sets are vertex
+    # bitmasks, which take far less memory than frozensets (C(16, 5) of them
+    # on Q_4)
     g = ctx.graph
     later = {v for cls in g.swap_classes for v in cls[1:]}
     due = sum(1 << cls[0] for cls in g.swap_classes if len(cls) == d)
@@ -403,8 +407,9 @@ def _class_candidates(ctx: AutContext, k: int, d: int) -> Iterator[tuple[int, ..
         mask = sum(1 << v for v in comb)
         if mask & due != due or mask in seen:
             continue
-        seen.update(ctx.subset_orbit(comb))
-        yield comb
+        orbit = ctx.subset_orbit(comb)
+        seen.update(orbit)
+        yield comb, len(orbit)
 
 
 def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
@@ -423,8 +428,15 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
             raise AssertionError(
                 f"cost search passed the n - determining-number cutoff ({n - det_hint})"
             )
-        for cls in _class_candidates(ctx, k, d):
-            got = _decide(ctx, d - 1, cls)
+        for cls, orbit in _class_candidates(ctx, k, d):
+            if d == 2:
+                # the one labeling that labels cls 2 and the rest 1
+                # distinguishes iff only the identity keeps cls, that is iff
+                # |cls^G| = |G|
+                ctx.budget.recall()
+                got = [1 + (v in cls) for v in range(n)] if orbit == ctx.full.order else None
+            else:
+                got = _decide(ctx, d - 1, cls)
             if got is not None:
                 if max(got) != d or len(set(got)) != d:
                     raise AssertionError(

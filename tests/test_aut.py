@@ -276,19 +276,19 @@ def test_brute_force_matches_permutation_filter_colored():
 # are the counts pinned when the case was added (the second one that of a
 # canonical-form search since removed); the current count follows it.
 _SEARCH_EFFORT = [pytest.param(spec, report, id=case) for case, spec, report in [
-    ("friendship:5-819-35", "friendship:5", 85),
-    ("hypercube:3-187-10", "hypercube:3", 73),
-    ("hypercube:4-418-15", "hypercube:4", 150),
-    ("cycle:12-118-6", "cycle:12", 46),
-    ("corona:(path:3),(complete:2)-410-15", "corona:(path:3),(complete:2)", 44),
-    ("complete_bipartite:5,5-1038-53", "complete_bipartite:5,5", 128),
-    ("star:10-1708-55", "star:10", 132),
+    ("friendship:5-819-35", "friendship:5", 50),
+    ("hypercube:3-187-10", "hypercube:3", 67),
+    ("hypercube:4-418-15", "hypercube:4", 95),
+    ("cycle:12-118-6", "cycle:12", 22),
+    ("corona:(path:3),(complete:2)-410-15", "corona:(path:3),(complete:2)", 27),
+    ("complete_bipartite:5,5-1038-53", "complete_bipartite:5,5", 81),
+    ("star:10-1708-55", "star:10", 77),
     # "spec@1": the graph under the vertex relabeling drawn with key 1, as
     # the labeling search's effort depends on the vertex labeling
-    ("friendship:6@1-7461-28", "friendship:6@1", 87),
-    ("hypercube:3@1-208-10", "hypercube:3@1", 64),
-    ("cycle:12@1-75-10", "cycle:12@1", 53),
-    ("corona:(path:3),(complete:2)@1-305-15", "corona:(path:3),(complete:2)@1", 37),
+    ("friendship:6@1-7461-28", "friendship:6@1", 71),
+    ("hypercube:3@1-208-10", "hypercube:3@1", 58),
+    ("cycle:12@1-75-10", "cycle:12@1", 31),
+    ("corona:(path:3),(complete:2)@1-305-15", "corona:(path:3),(complete:2)@1", 21),
 ]]
 
 
@@ -302,9 +302,10 @@ def _relabeled_family(spec: str, key: str):
 
 @pytest.mark.parametrize("spec, report_nodes", _SEARCH_EFFORT)
 def test_search_effort_is_pinned(spec, report_nodes):
-    # Budget.used counts refine calls and the queries answered by the
-    # context's found automorphisms: a cheaper refine must not change the
-    # search, and every colored query of the context spends it
+    # Budget.used counts refine calls, the queries answered by the context's
+    # known automorphisms and the cost classes decided by orbit size: a
+    # cheaper refine must not change the search, and every colored query of
+    # the context spends it
     spec, relabel, key = spec.partition("@")
     g = _relabeled_family(spec, key) if relabel else build_family(spec)
     budget = Budget()
@@ -358,6 +359,59 @@ def test_point_stabilizer_stops_at_the_whole_stabilizer(rng):
             assert all(p[v] == v for p in closure)
             stopped += budget.used < len(orbit) * len(group.generators)
     assert stopped
+
+
+def _planted_graphs(rng, count: int, max_order: int) -> list:
+    # random graphs with twins and interchangeable pendant blocks planted,
+    # and some family graphs whose groups such automorphisms generate
+    graphs = [_oracles.hung_blocks_graph(rng, max_order) for _ in range(count)]
+    return graphs + [friendship(3), build_family("star:6"),
+                     build_family("corona:(path:2),(complete:2)")]
+
+
+def test_structural_moves_are_automorphisms(rng):
+    # every swap-class transposition, block swap and internal block map that
+    # set-up may seed a level with preserves adjacency and moves its point
+    graphs = _planted_graphs(rng, 150, 12)
+    graphs += [_oracles.random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.8)))
+               for _ in range(100)]
+    moves = 0
+    for g in graphs:
+        for v in range(g.n):
+            for move in aut._structural_moves(g, v):
+                sigma = [move.get(u, u) for u in range(g.n)]
+                assert move[v] != v and sorted(move) == sorted(move.values())
+                assert aut._is_automorphism(g.adj_bits, (0,) * g.n, sigma), (g.adj, move)
+                moves += 1
+    assert moves
+
+
+def test_seeded_group_equals_brute_force(rng):
+    # structural automorphisms seed each level before any search, both for
+    # the full group and for a colored one, and the group is still exactly
+    # the brute-force one: the same elements, each once
+    seeded = 0
+    for g in _planted_graphs(rng, 120, 8):
+        brute = _oracles.brute_aut(g)
+        for colors in ((0,) * g.n, [rng.randint(1, 2) for _ in range(g.n)]):
+            group = automorphisms(g, colors)
+            elements = list(enumerate_elements(group))
+            assert len(elements) == group.order
+            assert set(elements) == {p for p in brute if all(
+                colors[p[v]] == colors[v] for v in range(g.n))}, (g.adj, colors)
+        seeded += any(next(aut._structural_moves(g, v), None) for v in range(g.n))
+    assert seeded > 100
+
+
+@pytest.mark.parametrize("spec, nodes", [("star:100", 100), ("friendship:40", 41),
+                                         ("complete:30", 30)])
+def test_setup_spends_one_refinement_per_level(spec, nodes):
+    # the swap-class transpositions and block swaps grow each level's
+    # transversal to the whole orbit, so the set-up refines only along the
+    # first path (before the seeding: 5,050, 1,680 and 465 nodes)
+    budget = Budget()
+    AutContext(build_family(spec), budget)
+    assert budget.used == nodes
 
 
 # ---------------------------------------------------------------------------

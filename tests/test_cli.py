@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from symlab import AutContext, Budget, cost, hypercube
 from symlab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -232,12 +233,17 @@ def test_verify_budget_exceeded_outside_bound_pass(capsys):
     assert [(r["theorem_id"], r["status"], r["hypothesis_met"]) for r in json.loads(out)] == [
         ("Thm3.1", "budget-exceeded", 0), ("Prop2.2", "budget-exceeded", 0)]
     # each friendship order is judged on its own: an overrun at a large n
-    # keeps the verdicts of the orders that fit (2..10; 11 and 12 overrun)
-    code, out, _ = run(capsys, "verify", "--suite", "Thm3.1", "--corpus", "friendship:2..12",
-                       "--budget", "150", "--json")
+    # keeps the verdicts of the orders that fit, those that fit when run
+    # alone.  20 nodes is about twice what friendship:2 needs and far below
+    # what friendship:30 needs
+    code, out, _ = run(capsys, "verify", "--suite", "Thm3.1", "--corpus", "friendship:2..30",
+                       "--budget", "20", "--json")
     assert code == 3
     [report] = json.loads(out)
-    assert report["status"] == "budget-exceeded" and report["hypothesis_met"] == 9
+    fit = [n for n in range(2, 31) if run(capsys, "verify", "--suite", "Thm3.1", "--corpus",
+                                          f"friendship:{n}", "--budget", "20")[0] == 0]
+    assert 2 in fit and 30 not in fit
+    assert report["status"] == "budget-exceeded" and report["hypothesis_met"] == len(fit)
     # a corona pair that runs out of budget does not hide another pair's
     # counterexample
     code, out, _ = run(capsys, "verify", "--suite", "Thm4.1", "--corpus",
@@ -258,8 +264,17 @@ def test_verify_budget_exceeded_outside_bound_pass(capsys):
 
 
 def test_verify_hypercube_dimensions_are_judged_one_by_one(capsys):
-    # Q3 fits in 80 nodes and Q4 does not: the overrun on Q4 keeps Q3's verdict
-    code, out, _ = run(capsys, "verify", "--suite", "HypercubeCost", "--budget", "80", "--json")
+    # a budget halfway between the nodes Q3's cost needs and those Q4's
+    # needs: the overrun on Q4 keeps Q3's verdict
+    def needs(k):
+        g = hypercube(k)
+        budget = Budget()
+        cost(g, ctx=AutContext(g, budget))
+        return budget.used
+    q3, q4 = needs(3), needs(4)
+    assert q3 < q4
+    code, out, _ = run(capsys, "verify", "--suite", "HypercubeCost", "--budget",
+                       str((q3 + q4) // 2), "--json")
     assert code == 0
     [report] = json.loads(out)
     assert (report["status"], report["hypothesis_met"]) == ("budget-exceeded", 1)

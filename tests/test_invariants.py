@@ -115,30 +115,56 @@ def test_minimum_determining_sets():
     assert len(sets) == 2 and truncated
 
 
-def test_class_candidates_are_the_lex_least_feasible_sets(rng):
-    # the cost search's candidate classes are, in lexicographic order, the
-    # lex-least set of each Aut(G)-orbit of the k-sets that hold at most one
-    # vertex of each swap class and exactly one of each swap class of size d
+def _class_candidate_graphs(rng) -> list:
     from symlab import complete_bipartite
-    from symlab.invariants import _class_candidates
     graphs = [_oracles.random_graph(rng, rng.randint(1, 7), rng.choice((0.1, 0.3, 0.7, 0.9)))
               for _ in range(60)]
     for g in (star(6), friendship(3), corona(path(3), complete(2)), complete_bipartite(3, 3)):
         sigma = list(range(g.n))
         random.Random(g.n).shuffle(sigma)
         graphs += [g, _oracles.relabeled(g, sigma)]
-    for g in graphs:
+    return graphs
+
+
+def test_class_candidates_are_the_lex_least_feasible_sets(rng):
+    # the cost search's candidate classes are, in lexicographic order, the
+    # lex-least set of each Aut(G)-orbit of the k-sets that hold at most one
+    # vertex of each swap class and exactly one of each swap class of size d,
+    # each with the length of its orbit
+    from symlab.invariants import _class_candidates
+    for g in _class_candidate_graphs(rng):
         group = _oracles.brute_aut(g)
         ctx = AutContext(g)
         classes = [set(cls) for cls in g.swap_classes]
         for d in range(max([2, *map(len, classes)]), g.n + 1):
             for k in range(g.n + 1):
-                want = [s for s in itertools.combinations(range(g.n), k)
+                want = [(s, len({tuple(sorted(p[v] for v in s)) for p in group}))
+                        for s in itertools.combinations(range(g.n), k)
                         if all(len(cls.intersection(s)) <= 1 for cls in classes)
                         and all(len(cls.intersection(s)) == 1 for cls in classes
                                 if len(cls) == d)
                         and s == min(tuple(sorted(p[v] for v in s)) for p in group)]
                 assert list(_class_candidates(ctx, k, d)) == want, (g.adj, k, d)
+
+
+def test_two_label_classes_are_decided_by_orbit_size(rng):
+    # labeling a class 2 and the rest 1 distinguishes iff the class's orbit
+    # has |G| sets, the test the cost search makes when D = 2 in place of a
+    # labeling search; that search agrees on every candidate class, and finds
+    # that one labeling
+    from symlab.invariants import _class_candidates, _decide
+    decided = 0
+    for g in _class_candidate_graphs(rng):
+        ctx = AutContext(g)
+        if max(map(len, g.swap_classes), default=2) > 2:
+            continue
+        for k in range(g.n + 1):
+            for cls, orbit in _class_candidates(ctx, k, 2):
+                got = _decide(ctx, 1, cls)
+                want = [1 + (v in cls) for v in range(g.n)] if orbit == ctx.full.order else None
+                assert got == want, (g.adj, cls)
+                decided += got is not None
+    assert decided
 
 
 def test_minimum_determining_sets_equal_the_flat_scan(rng):
@@ -199,13 +225,13 @@ def test_determining_number_equals_the_colored_search(rng):
 
 def test_budget_bounds_the_schreier_work():
     # every Schreier generator formed spends one node.  star:100's context
-    # set-up alone spends 5,050 nodes, more than a budget of 5,000, and its
-    # det search 4,949 more; a budget that admits the set-up and 2,000 more
-    # stops that search, within a few seconds
+    # set-up spends 100 nodes and its det search 4,949 more, all of them
+    # Schreier generators; a budget of 2,500, or one that admits the set-up
+    # and 2,000 more, stops that search, within a few seconds
     g = star(100)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
-        determining_number(g, ctx=AutContext(g, Budget(5_000)))
+        determining_number(g, ctx=AutContext(g, Budget(2_500)))
     budget = Budget()
     ctx = AutContext(g, budget)
     budget.cap = budget.used + 2_000
@@ -666,8 +692,11 @@ def test_lex_buckets_reject_what_the_full_scan_rejects(rng, monkeypatch):
 
 
 def test_context_never_refinds_an_automorphism(monkeypatch):
-    # D, rho, det and the determining-set scan share one context's found
-    # automorphisms, so the engine never returns one the context holds
+    # D, rho, det and the determining-set scan share one context's known
+    # automorphisms, the full group's generators first, so the engine never
+    # returns a generator of the full group nor one it returned before.  On
+    # these vertex-transitive graphs, with no swap class or block family, the
+    # colored queries still find some
     from symlab import aut
     found: list = []
     engine_first = aut._Engine.first_nontrivial
@@ -679,7 +708,7 @@ def test_context_never_refinds_an_automorphism(monkeypatch):
         return sigma
 
     monkeypatch.setattr(aut._Engine, "first_nontrivial", first_nontrivial)
-    for g in (friendship(6), hypercube(3)):
+    for g in (cycle(12), hypercube(3)):
         sigma = list(range(g.n))
         random.Random(1).shuffle(sigma)
         for h in (g, _oracles.relabeled(g, sigma)):
@@ -688,6 +717,7 @@ def test_context_never_refinds_an_automorphism(monkeypatch):
             invariant_report(h, ctx=ctx)
             minimum_determining_sets(h, ctx=ctx)
             assert found and len(set(found)) == len(found)
+            assert not set(found) & set(ctx.full.generators)
 
 
 def test_remembered_answers_spend_the_budget(monkeypatch):

@@ -351,9 +351,10 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
     assert sizes == [3]
     assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
     # under a tight budget some classes come back with no row, and this
-    # process judges their later copies in index order, as the serial path does
-    serial = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5", budget=100)
-    pooled = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5", budget=100, jobs=2)
+    # process judges their later copies in index order, as the serial path
+    # does; 30 nodes is under a third of what the costliest graph needs
+    serial = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5", budget=30)
+    pooled = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5", budget=30, jobs=2)
     assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
     assert all(r.status == "budget-exceeded" for r in serial)
 
