@@ -114,9 +114,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         rep = invariant_report(g, ctx=ctx)
         data = rep.to_dict()
     elif args.invariant == "D":
-        data["D"] = _distinguishing(ctx, replay=False)[0]
+        data["D"] = _distinguishing(ctx, witness=False)[0]
     elif args.invariant == "rho":
-        d = _distinguishing(ctx, replay=False)[0]
+        d = _distinguishing(ctx, witness=False)[0]
         data["D"] = d
         data["rho"] = cost(g, d=d, ctx=ctx)[0]
     elif args.invariant == "det":

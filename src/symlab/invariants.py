@@ -35,12 +35,12 @@ so no labeling search is made (notes/decisions.md, "D = 2 cost classes by
 orbit size").
 
 The prunes hold in any branch order, so a D pool or a cost class has a
-distinguishing labeling in one order iff it has one in any other.  Each is
-decided in the full group's base order (``PermGroup.base_order``), where
-refuting takes far fewer nodes, and only the one that succeeds is searched
-again in index order, whose first labeling is the witness
-(notes/decisions.md, "Refute in chain order, replay the success in index
-order").
+distinguishing labeling in one order iff it has one in any other.  Each
+decision is one search.  Where its labeling is kept, the search runs in
+index order, whose first labeling is the witness; where only D is read, it
+runs in the full group's base order (``PermGroup.base_order``), where
+refuting takes far fewer nodes (notes/decisions.md, "Kept labelings are
+searched in index order; D alone in base order").
 
 A determining set is a base of Aut(G), so the determining number comes from
 an iterative-deepening base search over sorted prefixes P that extends P
@@ -314,9 +314,6 @@ class _LabelSearch:
                 for v in todo:
                     out[v] = used + 1
                 return out
-            if self.pool == 1:
-                # the rest as one class was the only completion left
-                return None
             v = todo[0]
             partners = self.swaps[v]
             for lab in range(1, min(used + 1, self.pool) + 1):
@@ -352,33 +349,21 @@ def _search(ctx: AutContext, pool: int, cls: Sequence[int] = (),
     return _LabelSearch(ctx, labels, order, pool, lex).run(len(cls), 0, True)
 
 
-def _decide(ctx: AutContext, pool: int, cls: Sequence[int] = (),
-            replay: bool = True) -> list[int] | None:
-    """``_search`` with the other vertices in the full group's base order,
-    where a failure costs far fewer nodes.  Either order finds a labeling or
-    neither does; with ``replay``, a success is searched again in index
-    order, whose first labeling is the witness (notes/decisions.md, "Refute
-    in chain order, replay the success in index order")."""
-    rest = [v for v in ctx.full.base_order if v not in cls]
-    got = _search(ctx, pool, cls, rest)
-    if got is not None and replay and rest != sorted(rest):
-        return _search(ctx, pool, cls)
-    return got
-
-
 # ---------------------------------------------------------------------------
 # public invariants
 # ---------------------------------------------------------------------------
 
-def _distinguishing(ctx: AutContext, replay: bool) -> tuple[int, list[int]]:
-    # D and a distinguishing D-labeling, which is the index-order witness
-    # only with ``replay``.  The pools below the largest swap class, which
-    # needs a label per vertex, are not tried
+def _distinguishing(ctx: AutContext, witness: bool) -> tuple[int, list[int]]:
+    # D and a distinguishing D-labeling: with ``witness`` the index-order
+    # witness, else one searched in the full group's base order, which
+    # refutes a pool in far fewer nodes.  The pools below the largest swap
+    # class, which needs a label per vertex, are not tried
     g = ctx.graph
     if ctx.full.order == 1:
         return 1, [1] * g.n
+    rest = None if witness else ctx.full.base_order
     for d in range(max(map(len, g.swap_classes), default=2), g.n + 1):
-        got = _decide(ctx, d, replay=replay)
+        got = _search(ctx, d, rest=rest)
         if got is not None:
             if max(got) != d:
                 raise AssertionError("distinguishing witness skipped a smaller label count")
@@ -388,7 +373,7 @@ def _distinguishing(ctx: AutContext, replay: bool) -> tuple[int, list[int]]:
 
 def distinguishing_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
     """Least d admitting a distinguishing d-labeling, with a witness labeling."""
-    d, witness = _distinguishing(ctx or AutContext(g), replay=True)
+    d, witness = _distinguishing(ctx or AutContext(g), witness=True)
     return d, tuple(witness)
 
 
@@ -418,7 +403,7 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
     own distinguishing number, with a witness labeling."""
     ctx = ctx or AutContext(g)
     if d is None:
-        d = _distinguishing(ctx, replay=False)[0]
+        d = _distinguishing(ctx, witness=False)[0]
     n = g.n
     if d == 1:
         return n, (1,) * n
@@ -436,7 +421,7 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
                 ctx.budget.recall()
                 got = [1 + (v in cls) for v in range(n)] if orbit == ctx.full.order else None
             else:
-                got = _decide(ctx, d - 1, cls)
+                got = _search(ctx, d - 1, cls)
             if got is not None:
                 if max(got) != d or len(set(got)) != d:
                     raise AssertionError(
@@ -700,7 +685,7 @@ def invariant_report(g: Graph, ctx: AutContext | None = None) -> InvariantReport
     """Compute all invariants; the stored labeling is the cost witness, so its
     smallest class size equals the cost."""
     ctx = ctx or AutContext(g)
-    d = _distinguishing(ctx, replay=False)[0]
+    d = _distinguishing(ctx, witness=False)[0]
     det, det_witness = determining_number(g, ctx=ctx)
     rho, labels = cost(g, d=d, ctx=ctx, det_hint=det)
     return InvariantReport(

@@ -210,7 +210,11 @@ def _corona_pairs(text: str) -> list[_Pair]:
         if not chunk:
             continue
         try:
-            gs, hs = parse_family_spec(f"corona:{chunk}").parts
+            spec = parse_family_spec(f"corona:{chunk}")
+            if spec.order() > MAX_FAMILY_ORDER:  # checked before anything is built
+                raise CorpusError(f"{spec.to_string()} has order above the cap of "
+                                  f"{MAX_FAMILY_ORDER}")
+            gs, hs = spec.parts
             g, h = gs.build(), hs.build()
         except FamilySpecError as exc:
             raise CorpusError(f"bad corona pair {chunk!r}: {exc}") from exc
@@ -362,7 +366,7 @@ class _Facts:
         # the caches close over each other, not over self, so a run's facts
         # are freed by reference counting as soon as the run returns
         ctx = self.ctx = functools.cache(lambda g: AutContext(g, Budget(budget_cap)))
-        d = self.d = functools.cache(lambda g: _distinguishing(ctx(g), replay=False)[0])
+        d = self.d = functools.cache(lambda g: _distinguishing(ctx(g), witness=False)[0])
         self.rho = functools.cache(lambda g: cost(g, d=d(g), ctx=ctx(g)))
         self.det = functools.cache(lambda g: determining_number(g, ctx=ctx(g)))
 

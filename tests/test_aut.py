@@ -277,7 +277,7 @@ def test_brute_force_matches_permutation_filter_colored():
 # canonical-form search since removed); the current count follows it.
 _SEARCH_EFFORT = [pytest.param(spec, report, id=case) for case, spec, report in [
     ("friendship:5-819-35", "friendship:5", 50),
-    ("hypercube:3-187-10", "hypercube:3", 67),
+    ("hypercube:3-187-10", "hypercube:3", 60),
     ("hypercube:4-418-15", "hypercube:4", 95),
     ("cycle:12-118-6", "cycle:12", 22),
     ("corona:(path:3),(complete:2)-410-15", "corona:(path:3),(complete:2)", 27),
@@ -285,8 +285,8 @@ _SEARCH_EFFORT = [pytest.param(spec, report, id=case) for case, spec, report in 
     ("star:10-1708-55", "star:10", 77),
     # "spec@1": the graph under the vertex relabeling drawn with key 1, as
     # the labeling search's effort depends on the vertex labeling
-    ("friendship:6@1-7461-28", "friendship:6@1", 71),
-    ("hypercube:3@1-208-10", "hypercube:3@1", 58),
+    ("friendship:6@1-7461-28", "friendship:6@1", 63),
+    ("hypercube:3@1-208-10", "hypercube:3@1", 51),
     ("cycle:12@1-75-10", "cycle:12@1", 31),
     ("corona:(path:3),(complete:2)@1-305-15", "corona:(path:3),(complete:2)@1", 21),
 ]]

@@ -303,6 +303,12 @@ def test_verify_rejects_all_connected_above_order_7(capsys, no_search):
         code, out, err = run(capsys, "verify", "--suite", suite, "--corpus", corpus)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "order above the cap" in err
+    # so is a corona pair: path:40 and complete:40 are each under the cap,
+    # their corona of order 1,640 is not, and nothing is built
+    code, out, err = run(capsys, "verify", "--suite", "Thm4.1", "--corpus",
+                         "corona-pairs:(path:40),(complete:40)")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "order above the cap" in err
 
 
 def test_verify_malformed_corpus_file_is_usage_error(capsys, tmp_path, no_search):

@@ -152,7 +152,7 @@ def test_two_label_classes_are_decided_by_orbit_size(rng):
     # has |G| sets, the test the cost search makes when D = 2 in place of a
     # labeling search; that search agrees on every candidate class, and finds
     # that one labeling
-    from symlab.invariants import _class_candidates, _decide
+    from symlab.invariants import _class_candidates, _search
     decided = 0
     for g in _class_candidate_graphs(rng):
         ctx = AutContext(g)
@@ -160,7 +160,7 @@ def test_two_label_classes_are_decided_by_orbit_size(rng):
             continue
         for k in range(g.n + 1):
             for cls, orbit in _class_candidates(ctx, k, 2):
-                got = _decide(ctx, 1, cls)
+                got = _search(ctx, 1, cls)
                 want = [1 + (v in cls) for v in range(g.n)] if orbit == ctx.full.order else None
                 assert got == want, (g.adj, cls)
                 decided += got is not None
@@ -259,6 +259,19 @@ def test_large_det_effort_is_pinned(name, det, nodes):
     setup = budget.used
     assert determining_number(g, ctx=ctx)[0] == det
     assert budget.used - setup == nodes
+
+
+@pytest.mark.parametrize("arity, depth, d, nodes", [(2, 4, 2, 232), (4, 2, 4, 307)])
+def test_public_distinguishing_effort_is_pinned(arity, depth, d, nodes):
+    # public D keeps its labeling, so each pool is searched once, in index
+    # order, and the witness is that search's first labeling.  The nodes
+    # are pinned with the context set-up included
+    from symlab.invariants import _search
+    g = _complete_tree(arity, depth)
+    budget = Budget()
+    got = distinguishing_number(g, ctx=AutContext(g, budget))
+    assert budget.used == nodes
+    assert got == (d, tuple(_search(AutContext(g), d)))
 
 
 # ---------------------------------------------------------------------------
@@ -629,47 +642,58 @@ def test_blocks_beyond_the_limit_are_searched_as_before(monkeypatch):
     assert report == as_built[0] and used < as_built[1]
 
 
-def _decided(graphs, monkeypatch):
-    # per graph: D, rho, det and their witnesses, the verdict of every D pool
-    # and cost class the searches decided, and the number of successes
-    # searched again in index order
+def test_chain_order_decides_as_index_order_does(rng, monkeypatch):
+    # a D pool fails in the group's base order exactly when it fails in
+    # index order, so D alone, searched in base order, takes every pool
+    # verdict of the index-order search that keeps its witness.  Where a
+    # labeling is kept, each D pool and each cost class searched is decided
+    # by one search, in index order (notes/decisions.md, "Kept labelings are
+    # searched in index order; D alone in base order")
     from symlab import invariants
-    search = invariants._search
-    decisions: list = []
-    replays = 0
+    graphs = _prune_corpus(rng)
+    # each search's pool, class, whether it ran in index order and whether
+    # it found a labeling, and each cost class tried
+    calls: list = []
+    candidates: list = []
+    search, class_candidates = invariants._search, invariants._class_candidates
 
-    def logged(ctx, pool, cls=(), rest=None):
-        nonlocal replays
+    def logged_search(ctx, pool, cls=(), rest=None):
         got = search(ctx, pool, cls, rest)
-        if rest is None:
-            replays += 1
-        else:
-            decisions.append((pool, tuple(cls), got is not None))
+        calls.append((pool, tuple(cls), rest is None, got is not None))
         return got
 
-    monkeypatch.setattr(invariants, "_search", logged)
-    out = []
+    def logged_candidates(ctx, k, d):
+        for cls, orbit in class_candidates(ctx, k, d):
+            candidates.append(cls)
+            yield cls, orbit
+
+    monkeypatch.setattr(invariants, "_search", logged_search)
+    monkeypatch.setattr(invariants, "_class_candidates", logged_candidates)
+    reordered = 0
     for g in graphs:
-        decisions.clear()
-        out.append((_searches(g)[0], list(decisions)))
-    monkeypatch.setattr(invariants, "_search", search)
-    return out, replays
-
-
-def test_chain_order_decides_as_index_order_does(rng, monkeypatch):
-    # a D pool or cost class fails in the group's base order exactly when it
-    # fails in index order, and a success is searched again in index order,
-    # so every verdict, answer and witness is that of index order
-    # (notes/decisions.md, "Refute in chain order, replay the success in
-    # index order")
-    from symlab import aut
-    graphs = _prune_corpus(rng)
-    chained, replays = _decided(graphs, monkeypatch)
-    monkeypatch.setattr(aut.PermGroup, "base_order",
-                        property(lambda self: tuple(range(self.degree))))
-    assert _decided(graphs, monkeypatch) == (chained, 0)
-    # the base order differed from index order where a search succeeded
-    assert replays > 100
+        ctx = AutContext(g)
+        reordered += ctx.full.base_order != tuple(range(g.n))
+        calls.clear()
+        d_alone = invariants._distinguishing(ctx, witness=False)[0]
+        alone = list(calls)
+        calls.clear()
+        d, witness = distinguishing_number(g, ctx=ctx)
+        assert d == d_alone and max(witness) == d
+        assert [(pool, found) for pool, _, _, found in calls] == [
+            (pool, found) for pool, _, _, found in alone]
+        assert all(index for _, _, index, _ in calls)
+        assert not any(index for _, _, index, _ in alone)
+        # one search per pool, the last one found
+        assert [found for _, _, _, found in calls] == [False] * (len(calls) - 1) + [True] * bool(calls)
+        calls.clear()
+        candidates.clear()
+        cost(g, d=d, ctx=ctx)
+        if d > 2:
+            assert calls == [(d - 1, cls, True, cls == candidates[-1]) for cls in candidates]
+        else:
+            assert calls == []
+    # the base order differed from index order on 184 of the 336 graphs
+    assert reordered > 100
 
 
 def test_lex_buckets_reject_what_the_full_scan_rejects(rng, monkeypatch):
