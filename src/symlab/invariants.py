@@ -45,14 +45,14 @@ searched in index order; D alone in base order").
 A determining set is a base of Aut(G), so the determining number comes from
 an iterative-deepening base search over sorted prefixes P that extends P
 only by a vertex v above max(P) with two properties, both of which keep the
-lex-least minimum determining set S reachable:
+least set S of each Aut(G)-orbit of minimum determining sets reachable:
 
 * v is moved by the pointwise stabilizer G_P.  A minimum determining set is
   irredundant: if G_P fixed a member s of S beyond P, S minus s would
   determine too.
 * v is least in its G_P-orbit.  If h in G_P mapped some u < v onto v, then
-  h^-1(S) would be a determining set of the same size containing P and u,
-  so lexicographically smaller than S.
+  h^-1(S) would be a set of S's orbit containing P and u, so
+  lexicographically smaller than S.
 
 G_{P+v} is the stabilizer of v in G_P, so it comes from G_P by Schreier's
 lemma (``aut.point_stabilizer``), with no colored search, and P + v
@@ -446,25 +446,45 @@ def _extensions(g: Graph, prefix: tuple[int, ...], gens: Sequence[Perm]) -> dict
 
 
 def _base_search(ctx: AutContext, branches: dict[tuple[int, ...], tuple],
-                 prefix: tuple[int, ...], todo: int) -> tuple[int, ...] | None:
-    # module level, not a closure that calls itself: such a closure would hold
-    # ctx in a reference cycle after the search returns
+                 prefix: tuple[int, ...], todo: int) -> Iterator[tuple[int, ...]]:
+    # the determining extensions of ``prefix`` by ``todo`` vertices in lex
+    # order; a closure that called itself would hold ctx in a reference cycle
     exts, gens, order = branches[prefix]
     for v, size in exts.items():
         ext = prefix + (v,)
         if todo == 1:
             # |G_{P+v}| = |G_P| / |v^{G_P}|
             if size == order:
-                return ext
+                yield ext
         else:
             if ext not in branches:
                 g = ctx.graph
                 sub, sub_order = point_stabilizer(g.n, gens, order, v, ctx.budget)
                 branches[ext] = (_extensions(g, ext, sub), sub, sub_order)
-            found = _base_search(ctx, branches, ext, todo - 1)
-            if found is not None:
-                return found
-    return None
+            yield from _base_search(ctx, branches, ext, todo - 1)
+
+
+def _minimum_bases(ctx: AutContext) -> Iterator[tuple[int, ...]]:
+    # the base search's leaves at the least depth that has one, in
+    # lexicographic order: the least set of each orbit of minimum determining
+    # sets is one (module docstring)
+    g = ctx.graph
+    if ctx.full.order == 1:
+        yield ()
+        return
+    gens = ctx.full.generators
+    # each prefix's extensions, with their orbit lengths, and its pointwise
+    # stabilizer's generators and order, computed once for every depth
+    branches = {(): (_extensions(g, (), gens), gens, ctx.full.order)}
+    # a determining set leaves out at most one vertex of each swap class
+    for k in range(max(1, sum(len(cls) - 1 for cls in g.swap_classes)), g.n + 1):
+        leaves = _base_search(ctx, branches, (), k)
+        first = next(leaves, None)
+        if first is not None:
+            yield first
+            yield from leaves
+            return
+    raise AssertionError("the full vertex set always determines")
 
 
 def determining_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
@@ -474,23 +494,11 @@ def determining_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tu
     vertices above max(P) that the pointwise stabilizer G_P moves and that are
     least in their G_P-orbit.  G_P comes from its parent's stabilizer by
     Schreier's lemma, the root's being the full group, with no colored search;
-    P + v determines when v's orbit has |G_P| points.  Each prefix's
-    stabilizer is computed once per call, so deeper rounds reuse those of
-    shallower ones.
+    P + v determines when v's orbit has |G_P| points.  The first leaf is
+    the witness.
     """
-    ctx = ctx or AutContext(g)
-    if ctx.full.order == 1:
-        return 0, ()
-    gens = ctx.full.generators
-    # each prefix's extensions, with their orbit lengths, and its pointwise
-    # stabilizer's generators and order
-    branches = {(): (_extensions(g, (), gens), gens, ctx.full.order)}
-    # a determining set leaves out at most one vertex of each swap class
-    for k in range(max(1, sum(len(cls) - 1 for cls in g.swap_classes)), g.n + 1):
-        found = _base_search(ctx, branches, (), k)
-        if found is not None:
-            return k, found
-    raise AssertionError("the full vertex set always determines")
+    first = next(_minimum_bases(ctx or AutContext(g)))
+    return len(first), first
 
 
 def is_determining_set(g: Graph, vertices: Iterable[int], ctx: AutContext | None = None) -> bool:
@@ -498,27 +506,22 @@ def is_determining_set(g: Graph, vertices: Iterable[int], ctx: AutContext | None
     return (ctx or AutContext(g)).pointwise_trivial(vertices)
 
 
-def minimum_determining_sets(g: Graph, cap: int = 1000, ctx: AutContext | None = None,
-                             det: int | None = None) -> tuple[list[tuple[int, ...]], bool]:
+def minimum_determining_sets(g: Graph, cap: int = 1000,
+                             ctx: AutContext | None = None) -> tuple[list[tuple[int, ...]], bool]:
     """All minimum determining sets in lexicographic order, up to ``cap``;
-    the flag reports truncation.  ``det`` is the graph's determining number,
-    computed when not given."""
+    the flag reports truncation.  They are the orbits of the base search's
+    leaves (notes/decisions.md, "Minimum determining sets from the leaves")."""
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
     ctx = ctx or AutContext(g)
-    k = determining_number(g, ctx=ctx)[0] if det is None else det
-    if k == 0:
-        return [()], False
-    found: list[tuple[int, ...]] = []
-    # a set that leaves out two vertices of one swap class does not determine
-    classes = [sum(1 << v for v in cls) for cls in g.swap_classes]
-    for comb in itertools.combinations(range(g.n), k):
-        kept = sum(1 << v for v in comb)
-        if any((cls & ~kept).bit_count() > 1 for cls in classes):
-            continue
-        if ctx.pointwise_trivial(comb):
-            if len(found) == cap:
-                return found, True
-            found.append(comb)
-    return found, False
+    seen: set[int] = set()
+    for leaf in _minimum_bases(ctx):
+        if sum(1 << v for v in leaf) not in seen:
+            seen |= ctx.subset_orbit(leaf)
+    n = g.n
+    # sets of one size compare as their bit strings read from vertex 0
+    first = sorted(seen, key=lambda m: -int(f"{m:0{n}b}"[::-1], 2))[:cap + 1]
+    return [tuple(v for v in range(n) if m >> v & 1) for m in first[:cap]], len(first) > cap
 
 
 # ---------------------------------------------------------------------------

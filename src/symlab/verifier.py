@@ -45,8 +45,8 @@ from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET, 
 from .graphs import (MAX_FAMILY_ORDER, FamilySpec, FamilySpecError, Graph, Graph6Error,
                      corona, emit_graph6, friendship, from_edge_list, hypercube,
                      induced_subgraph, parse_family_spec, parse_graph6)
-from .invariants import (InvariantReport, _distinguishing, _subset_witness, cost,
-                         determining_number, invariant_report, minimum_determining_sets)
+from .invariants import (InvariantReport, _distinguishing, _minimum_bases, _subset_witness,
+                         cost, determining_number, invariant_report)
 
 
 class CorpusError(ValueError):
@@ -383,7 +383,9 @@ class _Case(NamedTuple):
     index: int
     ctx: AutContext
     rep: InvariantReport
-    mindets: list[tuple[int, ...]]  # minimum determining sets, if a check needs them
+    # the det base search's leaves, if a check needs them, in place of every
+    # minimum determining set (notes/decisions.md, "Minimum determining sets from the leaves")
+    leaves: list[tuple[int, ...]]
     facts: _Facts
 
 
@@ -449,7 +451,7 @@ def _check_thm11(c: _Case) -> Verdict:
     if d < 2:
         return _UNMET
     forward = False
-    for A in c.mindets:
+    for A in c.leaves:
         # A is a minimum determining set, so it determines
         got = _subset_witness(ctx, A, d - 1, determines=True)
         if got is None:
@@ -486,7 +488,7 @@ def _check_cor26(c: _Case) -> Verdict:
     if d < 2:
         return _UNMET
     met = False
-    for A in c.mindets:
+    for A in c.leaves:
         sub, index = induced_subgraph(ctx.graph, A)
         if c.facts.d(sub) != d - 1:
             continue
@@ -531,9 +533,8 @@ def _verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts,
     try:
         ctx = AutContext(g, Budget(facts.budget_cap))
         rep = invariant_report(g, ctx=ctx)
-        mindets = (minimum_determining_sets(g, ctx=ctx, det=rep.determining_number)[0]
-                   if "Thm1.1" in ids or "Cor2.6" in ids else [])
-        case = _Case(index, ctx, rep, mindets, facts)
+        leaves = list(_minimum_bases(ctx)) if "Thm1.1" in ids or "Cor2.6" in ids else []
+        case = _Case(index, ctx, rep, leaves, facts)
         return [_REGISTRY[check].run(case) for check in ids]
     except BudgetExceededError:
         return [_BUDGET] * len(ids)

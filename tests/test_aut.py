@@ -231,6 +231,46 @@ def test_engine_matches_brute_force_colored(n, pyrng):
     assert len(list(enumerate_elements(grp))) == grp.order
 
 
+def _lcf(n: int, jumps: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    # the cubic graph of LCF notation [jumps]^(n / len(jumps))
+    edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    edges |= {tuple(sorted((i, (i + jumps[i % len(jumps)]) % n))) for i in range(n)}
+    return n, sorted(edges)
+
+
+def _disjoint_union(*parts: tuple[int, list[tuple[int, int]]]):
+    edges, offset = [], 0
+    for n, part in parts:
+        edges += [(u + offset, v + offset) for u, v in part]
+        offset += n
+    return from_edge_list(offset, edges)
+
+
+_FRUCHT = _lcf(12, [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2])
+_FRANKLIN = _lcf(12, [5, -5])
+_PETERSEN = (10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+_PRISM = (10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+          + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("parts, order", [
+    ((_FRUCHT,), 1),
+    ((_FRUCHT, _FRUCHT), 2),
+    ((_FRUCHT, _FRANKLIN), 48),
+    ((_PETERSEN, _PRISM), 2400),
+], ids=["frucht", "frucht+frucht", "frucht+franklin", "petersen+prism"])
+def test_engine_backtracks_to_the_brute_force_group(parts, order):
+    # cubic graphs whose first descents fail: on the rigid Frucht graph a
+    # discrete leaf is no automorphism, and across the components of a union
+    # of cubic graphs a candidate's refinement takes another shape or runs
+    # out of candidates, so the group search must backtrack
+    g = _disjoint_union(*parts)
+    grp = automorphisms(g)
+    assert grp.order == order
+    assert set(enumerate_elements(grp)) == set(brute_force_automorphisms(g, max_order=g.n))
+
+
 def test_determinism():
     g = friendship(4)
     a = automorphisms(g)

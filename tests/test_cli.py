@@ -35,6 +35,19 @@ def test_compute_all_json(capsys):
     assert (data["D"], data["rho"], data["det"]) == (2, 1, 1)
 
 
+def test_compute_rho_alone(capsys):
+    # rho alone reports D, which its search needs, and no witness
+    from symlab import families
+    code, out, _ = run(capsys, "compute", "--family", "friendship:5", "--invariant", "rho",
+                       "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["graph6", "n", "aut_order", "D", "rho"]
+    assert (data["n"], data["aut_order"]) == (11, 2 ** 5 * 120)
+    assert (data["D"], data["rho"]) == (families.friendship_distinguishing_number(5),
+                                        families.friendship_cost(5))
+
+
 def test_compute_single_vertex(capsys):
     code, out, _ = run(capsys, "compute", "--g6", "@", "--invariant", "all", "--json")
     assert code == 0
@@ -222,6 +235,35 @@ def test_verify_budget_exit(capsys):
     code, _, _ = run(capsys, "verify", "--suite", "Prop2.2",
                      "--corpus", "all-connected:4", "--budget", "3")
     assert code == 3
+
+
+def test_verify_rejudges_a_sample_whose_class_row_came_late(capsys, monkeypatch):
+    # at 10 nodes some classes overrun on their first graph, so their later
+    # copies are judged in index order until one stores a row; a sampled
+    # copy of a class whose row came that late is judged for EngineOracle
+    # again, once the row is there.  Pooled and serial runs print the same
+    import hashlib
+    import symlab.verifier as verifier
+    argv = ("verify", "--suite", "Prop2.2,EngineOracle", "--corpus", "all-connected:<=5",
+            "--budget", "10", "--json")
+    code, pooled, _ = run(capsys, *argv, "--jobs", "2")
+    assert code == 3
+    oracle_only = []
+    judge = verifier._verdicts
+
+    def counted(index, g, ids, facts, only=False):
+        if only:
+            oracle_only.append(index)
+        return judge(index, g, ids, facts, only)
+
+    monkeypatch.setattr(verifier, "_verdicts", counted)
+    code, serial, _ = run(capsys, *argv, "--jobs", "1")
+    assert code == 3 and serial == pooled
+    assert hashlib.sha256(serial.encode()).hexdigest().startswith("e1e4262f91ca746d")
+    assert [(r["status"], r["hypothesis_met"], r["graphs_checked"])
+            for r in json.loads(serial)] == [("budget-exceeded", 524, 772),
+                                             ("budget-exceeded", 8, 772)]
+    assert oracle_only == [100, 200, 300, 400, 500, 600, 700, 600]
 
 
 def test_verify_budget_exceeded_outside_bound_pass(capsys):

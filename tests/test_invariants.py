@@ -113,6 +113,12 @@ def test_minimum_determining_sets():
     assert sets == [()] and not truncated
     sets, truncated = minimum_determining_sets(complete(4), cap=2)
     assert len(sets) == 2 and truncated
+    # cap=0 lists nothing and reports the cut, the rigid graph's empty set
+    # included; a negative cap is an error, not a list of every set
+    for g in (path(3), complete(4), complete(1)):
+        assert minimum_determining_sets(g, cap=0) == ([], True)
+        with pytest.raises(ValueError):
+            minimum_determining_sets(g, cap=-1)
 
 
 def _class_candidate_graphs(rng) -> list:
@@ -168,8 +174,8 @@ def test_two_label_classes_are_decided_by_orbit_size(rng):
 
 
 def test_minimum_determining_sets_equal_the_flat_scan(rng):
-    # skipping the sets that leave out two vertices of one swap class, and
-    # taking det from the caller, lists the same sets as testing every k-set
+    # the orbits of the base search's leaves list the same sets, in the same
+    # order and cut at the same place, as testing every det-set
     graphs = [_oracles.random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
               for _ in range(120)]
     graphs += [star(7), friendship(3), complete(6), corona(path(2), complete(3))]
@@ -178,7 +184,20 @@ def test_minimum_determining_sets_equal_the_flat_scan(rng):
         k = determining_number(g, ctx=ctx)[0]
         flat = [s for s in itertools.combinations(range(g.n), k) if ctx.pointwise_trivial(s)]
         assert minimum_determining_sets(g, ctx=ctx) == (flat, False)
-        assert minimum_determining_sets(g, cap=3, ctx=ctx, det=k) == (flat[:3], len(flat) > 3)
+        assert minimum_determining_sets(g, cap=3, ctx=ctx) == (flat[:3], len(flat) > 3)
+
+
+def test_listing_makes_no_colored_query(monkeypatch):
+    # the leaves come from Schreier stabilizers and their images from the
+    # full group's generators, so listing asks the context nothing
+    from symlab import build_family
+    calls = []
+    monkeypatch.setattr(AutContext, "first_nontrivial", lambda self, colors: calls.append(colors))
+    for spec in ("friendship:7", "hypercube:4", "corona:(path:4),(complete:3)"):
+        g = build_family(spec)
+        sets, truncated = minimum_determining_sets(g, cap=10**6)
+        assert sets and not truncated
+    assert calls == []
 
 
 def test_stabilizer_chain_equals_the_colored_group(rng):
@@ -715,8 +734,19 @@ def test_lex_buckets_reject_what_the_full_scan_rejects(rng, monkeypatch):
     assert tables  # the full scan was in force
 
 
+def _scan_det_sets(g, ctx, stop: int = 1000) -> None:
+    # a pointwise query on each det-set in lexicographic order, until stop + 1
+    # of them determine: a source of many colored queries on one context
+    k = determining_number(g, ctx=ctx)[0]
+    found = 0
+    for s in itertools.combinations(range(g.n), k):
+        found += ctx.pointwise_trivial(s)
+        if found > stop:
+            return
+
+
 def test_context_never_refinds_an_automorphism(monkeypatch):
-    # D, rho, det and the determining-set scan share one context's known
+    # D, rho, det and a scan of the det-sets share one context's known
     # automorphisms, the full group's generators first, so the engine never
     # returns a generator of the full group nor one it returned before.  On
     # these vertex-transitive graphs, with no swap class or block family, the
@@ -739,7 +769,7 @@ def test_context_never_refinds_an_automorphism(monkeypatch):
             found.clear()
             ctx = AutContext(h)
             invariant_report(h, ctx=ctx)
-            minimum_determining_sets(h, ctx=ctx)
+            _scan_det_sets(h, ctx)
             assert found and len(set(found)) == len(found)
             assert not set(found) & set(ctx.full.generators)
 
@@ -747,9 +777,8 @@ def test_context_never_refinds_an_automorphism(monkeypatch):
 def test_remembered_answers_spend_the_budget(monkeypatch):
     # a query answered by an automorphism the context found spends one node,
     # so the budget bounds the number of queries, not only the searches: the
-    # determining-set scan on hypercube:5 makes 4,100 queries, 3,088 of them
-    # answered that way, and its set-up and scan spend 4,220 nodes, but
-    # 1,132 if those answers were free
+    # scan of hypercube:5's det-sets makes 4,054 queries, and its set-up and
+    # scan spend 4,117 nodes, of which 1,040 are refinements
     from symlab import aut
     calls = [0]
     first_nontrivial = AutContext.first_nontrivial
@@ -763,10 +792,10 @@ def test_remembered_answers_spend_the_budget(monkeypatch):
     budget = Budget()
     ctx = AutContext(g, budget)
     setup = budget.used
-    minimum_determining_sets(g, ctx=ctx)
+    _scan_det_sets(g, ctx)
     assert calls[0] <= budget.used - setup
     with pytest.raises(aut.BudgetExceededError):
-        minimum_determining_sets(g, ctx=AutContext(g, Budget(2_000)))
+        _scan_det_sets(g, AutContext(g, Budget(2_000)))
 
 
 # ---------------------------------------------------------------------------

@@ -391,14 +391,50 @@ def test_thm11_widening_is_used(tmp_path, monkeypatch):
     # whether its labeling distinguishes it: no colored group is built
     import symlab as sl
     import symlab.verifier as verifier
+    from symlab import invariants
     g = sl.parse_graph6("Eia?")
     facts = verifier._Facts(verifier.DEFAULT_NODE_BUDGET)
     ctx = sl.AutContext(g, sl.Budget())
     case = verifier._Case(0, ctx, sl.invariant_report(g, ctx=ctx),
-                          sl.minimum_determining_sets(g, ctx=ctx)[0], facts)
+                          list(invariants._minimum_bases(ctx)), facts)
     groups = _count_calls(monkeypatch, sl.AutContext, "group")
     assert verifier._check_thm11(case) == (True, "widened", None)
     assert groups == []
+
+
+def test_thm11_and_cor26_judge_the_leaves_as_every_minimum_set():
+    # the det base search's leaves hold the lex-least set of each orbit of
+    # minimum determining sets, so Thm1.1 and Cor2.6, whose verdicts hold for
+    # the images of a set too, give from the leaves the verdicts they give
+    # from every det-set that determines: on a graph of each class of order
+    # <= 5, the double star, and relabeled friendship:4, Q3, C6 and P3 o K2
+    import itertools
+    import random
+    import symlab as sl
+    import symlab.verifier as verifier
+    from symlab import invariants
+    graphs = {_oracles.brute_canonical(g): g for g in corpus("all-connected:<=5")}
+    graphs = [*graphs.values(), sl.parse_graph6("Eia?")]  # the double star widens Thm1.1
+    assert len(graphs) == 32
+    for spec in ("friendship:4", "hypercube:3", "cycle:6", "corona:(path:3),(complete:2)"):
+        g = sl.build_family(spec)
+        sigma = list(range(g.n))
+        random.Random(g.n).shuffle(sigma)
+        graphs.append(_oracles.relabeled(g, sigma))
+    facts = verifier._Facts(verifier.DEFAULT_NODE_BUDGET)
+    for g in graphs:
+        ctx = sl.AutContext(g)
+        rep = sl.invariant_report(g, ctx=ctx)
+        leaves = list(invariants._minimum_bases(ctx))
+        every = [s for s in itertools.combinations(range(g.n), rep.determining_number)
+                 if ctx.pointwise_trivial(s)]
+        assert set(leaves) <= set(every)
+        elements = list(sl.enumerate_elements(ctx.full))
+        assert {min(tuple(sorted(p[v] for v in s)) for p in elements)
+                for s in every} <= set(leaves), g.adj
+        for check in (verifier._check_thm11, verifier._check_cor26):
+            assert (check(verifier._Case(0, ctx, rep, leaves, facts))
+                    == check(verifier._Case(0, ctx, rep, every, facts))), (g.adj, check)
 
 
 def test_report_dict_shape():
