@@ -262,9 +262,9 @@ def _structural_moves(g: Graph, v: int) -> Iterator[dict[int, int]]:
     with no search, each as the map of the points it moves: v's
     transpositions with the rest of its swap class (``Graph.swap_classes``),
     then, per family with a block holding v (``Graph.block_families``), the
-    swaps of that block with each other block and the family's internal
-    maps carried into it (notes/decisions.md, "Structural automorphisms seed
-    the group search")."""
+    swaps of that block with each other block.  A family's internal maps
+    move v only within its swap class, so they would never grow v's orbit
+    (notes/decisions.md, "Structural automorphisms seed the group search")."""
     for cls in g.swap_classes:
         if v in cls:
             yield from ({v: w, w: v} for w in cls if w != v)
@@ -274,10 +274,6 @@ def _structural_moves(g: Graph, v: int) -> Iterator[dict[int, int]]:
                 for other in fam.blocks:
                     if other is not blk:
                         yield {**dict(zip(blk, other)), **dict(zip(other, blk))}
-                for k in fam.internal:
-                    move = {u: blk[j] for u, j in zip(blk, k) if u != blk[j]}
-                    if v in move:
-                        yield move
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ids = None if args.suite == "default" else [s.strip() for s in args.suite.split(",") if s.strip()]
     if ids == []:
         raise _CliError(f"--suite names no check: {args.suite!r}")
+    repeated = next((s for i, s in enumerate(ids or ()) if s in ids[:i]), None)
+    if repeated is not None:
+        raise _CliError(f"--suite names {repeated!r} more than once")
     try:
         reports = run_suite(ids, corpus_override=args.corpus, budget=budget, jobs=args.jobs)
     except (UnknownCheckError, CorpusError) as exc:

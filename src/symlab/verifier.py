@@ -15,14 +15,14 @@ budget overrun and the count of widened verdicts.  Over ``all-connected``,
 which holds every relabeling, the bound pass streams edge masks, not
 graphs: the S_n-orbit of a mask is its graph's isomorphism class, each
 orbit is marked whole on first sight, and a graph is built only for the
-first mask of a class, for an EngineOracle sample, or for a copy of a class
-that has no verdict row yet.  Each class is judged once per run and hands
-its verdicts to every later copy, which searches nothing; with ``--jobs``
-this process streams and marks, and the pool judges the classes and
-samples.  Over any other corpus each graph is judged on its own.  Every
-other search (Cor2.6's induced subgraphs, the friendship graphs, corona
-factors and products, hypercubes) goes through one per-run memo that keeps
-one context, and so one budget, per labeled graph.
+first mask of a class or for an EngineOracle sample.  Each class is judged
+once per run, at every budget, and hands its verdicts, a budget overrun
+included, to every later copy, which searches nothing; with ``--jobs`` this
+process streams and marks, and the pool judges the classes and samples.
+Over any other corpus each graph is judged on its own.  Every other search
+(Cor2.6's induced subgraphs, the friendship graphs, corona factors and
+products, hypercubes) goes through one per-run memo that keeps one
+context, and so one budget, per labeled graph.
 """
 
 from __future__ import annotations
@@ -113,9 +113,7 @@ class _OrbitMarks:
     a class invariant, so one graph tells it for the whole orbit.  A new
     orbit is marked whole by breadth-first search under (0 1) and
     (0 1 ... n-1), which generate S_n.  Per connected slot, ``sizes`` holds
-    the orbit's size and ``rows`` the class's verdict row with the index of
-    the graph that computed it, None until the class has been judged in
-    full, with no budget overrun (notes/decisions.md)."""
+    the orbit's size (notes/decisions.md)."""
 
     def __init__(self, n: int):
         pairs = _pairs(n)
@@ -123,7 +121,6 @@ class _OrbitMarks:
         self.n = n
         self.table = array("H", [0]) * (1 << len(pairs))
         self.sizes: list[int] = []
-        self.rows: list[tuple[int, list[Verdict]] | None] = []
         gens = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
         # per generator and per byte of a mask, the image of each byte value;
         # the at most 21 bits are padded to three bytes for _mark's lookups
@@ -143,9 +140,9 @@ class _OrbitMarks:
                     frontier.append(image)
         return len(frontier)
 
-    def stream(self) -> Iterator[tuple[int, int, Graph | None]]:
-        """Each connected mask in index order with its slot, and the graph of
-        each newly met orbit's first mask (None for every later mask)."""
+    def stream(self) -> Iterator[tuple[int, Graph | None]]:
+        """Each connected mask in index order, with the graph of each newly
+        met orbit's first mask (None for every later mask)."""
         table = self.table
         for mask in range(len(table)):
             slot = table[mask]
@@ -154,16 +151,15 @@ class _OrbitMarks:
                 if not g.is_connected():
                     self._mark(mask, _DISCONNECTED)
                     continue
-                self.rows.append(None)
-                self.sizes.append(self._mark(mask, len(self.rows)))
-                yield mask, len(self.rows) - 1, g
+                self.sizes.append(self._mark(mask, len(self.sizes) + 1))
+                yield mask, g
             elif slot != _DISCONNECTED:
-                yield mask, slot - 1, None
+                yield mask, None
 
 
 def _connected_exact(n: int) -> Iterator[Graph]:
     """Every labeled connected graph on exactly n <= 7 vertices, by edge mask."""
-    for mask, _, g in _OrbitMarks(n).stream():
+    for mask, g in _OrbitMarks(n).stream():
         yield g or _mask_graph(n, mask)
 
 
@@ -526,7 +522,7 @@ def _verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts,
               oracle_only: bool = False) -> list[Verdict]:
     """One verdict per check id for the corpus graph at ``index``; a budget
     overrun makes every verdict ``_BUDGET``.  With ``oracle_only``,
-    EngineOracle's verdict alone, for a copy whose class has a row."""
+    EngineOracle's verdict alone, for a sampled later copy of a class."""
     if oracle_only:
         group = functools.partial(automorphisms, g, budget=Budget(facts.budget_cap))
         return [_judged(_engine_oracle, index, g, group)]
@@ -540,11 +536,10 @@ def _verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts,
         return [_BUDGET] * len(ids)
 
 
-# a graph to judge: its corpus index, its class's slot in the orbit marks
-# (None outside all-connected), the graph, and whether only EngineOracle is
-# asked; judged, it becomes (index, slot, oracle only, verdicts)
-_Job = tuple[int, int | None, Graph, bool]
-_Judged = tuple[int, int | None, bool, list[Verdict]]
+# a graph to judge: its corpus index, the graph, and whether only
+# EngineOracle is asked; judged, it becomes (index, oracle only, verdicts)
+_Job = tuple[int, Graph, bool]
+_Judged = tuple[int, bool, list[Verdict]]
 
 # the per-run facts of one pool worker, set by the pool's initializer; each
 # pool starts fresh workers, so they live for one run
@@ -556,10 +551,9 @@ def _init_worker(budget_cap: int) -> None:
     _worker_facts = _Facts(budget_cap)
 
 
-def _bound_worker(task: tuple[int, int | None, str, tuple[str, ...], bool]) -> _Judged:
-    index, slot, g6, ids, oracle_only = task
-    g = parse_graph6(g6)
-    return index, slot, oracle_only, _verdicts(index, g, ids, _worker_facts, oracle_only)
+def _bound_worker(task: tuple[int, str, tuple[str, ...], bool]) -> _Judged:
+    index, g6, ids, oracle_only = task
+    return index, oracle_only, _verdicts(index, parse_graph6(g6), ids, _worker_facts, oracle_only)
 
 
 @contextlib.contextmanager
@@ -569,75 +563,46 @@ def _judging(ids: tuple[str, ...], facts: _Facts,
     or in a pool of at most one worker per CPU that is sent graph6 text."""
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
-        yield lambda todo: ((i, slot, only, _verdicts(i, g, ids, facts, only))
-                            for i, slot, g, only in todo)
+        yield lambda todo: ((i, only, _verdicts(i, g, ids, facts, only)) for i, g, only in todo)
         return
     with multiprocessing.Pool(workers, initializer=_init_worker,
                               initargs=(facts.budget_cap,)) as pool:
         yield lambda todo: pool.imap(
-            _bound_worker, [(i, slot, emit_graph6(g), ids, only) for i, slot, g, only in todo],
-            chunksize=8)
+            _bound_worker, [(i, emit_graph6(g), ids, only) for i, g, only in todo], chunksize=8)
 
 
-def _order_pass(n: int, start: int, ids: tuple[str, ...], facts: _Facts,
-                tallies: list[_Tally], judge: Callable[[Iterable[_Job]], Iterable[_Judged]]) -> int:
+def _order_pass(n: int, start: int, ids: tuple[str, ...], tallies: list[_Tally],
+                judge: Callable[[Iterable[_Job]], Iterable[_Judged]]) -> int:
     """Tally the verdicts of the labeled connected graphs of order n, the
     first at corpus index ``start``; returns how many there are.
 
-    This process streams the edge masks and marks their orbits; ``judge``
-    judges the first graph of each class and EngineOracle's sampled copies.
-    A class judged in full hands its row to every later copy.  The later
-    copies of any other class are then judged here in index order, until
-    one of them stores a row."""
+    This process streams the edge masks once and marks their orbits;
+    ``judge`` judges the first graph of each class and EngineOracle's
+    sampled copies.  The class's row, a budget overrun's included, stands
+    for every later copy."""
     marks = _OrbitMarks(n)
     eo = ids.index("EngineOracle") if "EngineOracle" in ids else None
 
-    def sampled(index: int) -> bool:
-        return eo is not None and index % _ORACLE_SAMPLE_STRIDE == 0
-
     def jobs() -> Iterator[_Job]:
-        for index, (mask, slot, g) in enumerate(marks.stream(), start):
+        for index, (mask, g) in enumerate(marks.stream(), start):
             if g is not None:
-                yield index, slot, g, False
-            elif sampled(index):
-                yield index, slot, _mask_graph(n, mask), True
+                yield index, g, False
+            elif eo is not None and index % _ORACLE_SAMPLE_STRIDE == 0:
+                yield index, _mask_graph(n, mask), True
 
-    def take(index: int, slot: int, oracle_only: bool, verdicts: list[Verdict]) -> None:
-        if not oracle_only:
-            for tally, v in zip(tallies, verdicts):
-                tally.add(v, index)
-            if _BUDGET not in verdicts:  # an overrun makes every verdict _BUDGET
-                marks.rows[slot] = (index, verdicts)
-        elif marks.rows[slot] is not None:  # otherwise the copy is judged in full below
+    # per slot, the index of the class's first graph and its verdicts; the
+    # first graphs come in slot order
+    rows: list[tuple[int, list[Verdict]]] = []
+    for index, oracle_only, verdicts in judge(jobs()):
+        if oracle_only:
             tallies[eo].add(verdicts[0], index)
-
-    for judged in judge(jobs()):
-        take(*judged)
-    copies = [size - 1 for size in marks.sizes]
-    pending = {slot for slot, row in enumerate(marks.rows) if row is None}
-    if pending:
-        met: set[int] = set()
-        for index, (mask, slot, _) in enumerate(marks.stream(), start):
-            if slot not in pending:
-                continue
-            if slot not in met:  # the class's first graph, judged above
-                met.add(slot)
-                copies[slot] = 0
-            elif marks.rows[slot] is None:
-                take(index, slot, False, _verdicts(index, _mask_graph(n, mask), ids, facts))
-            else:
-                copies[slot] += 1
-                if sampled(index):
-                    g = _mask_graph(n, mask)
-                    take(index, slot, True, _verdicts(index, g, ids, facts, True))
-    # every copy not judged on its own reuses its class's row; its
-    # EngineOracle verdict is its own, tallied above or unmet
-    for slot, row in enumerate(marks.rows):
-        if row is not None and copies[slot]:
-            first, verdicts = row
-            for k, (tally, v) in enumerate(zip(tallies, verdicts)):
-                if k != eo:
-                    tally.add(v, first, copies[slot])
+        else:
+            rows.append((index, verdicts))
+    # a row counts for every graph of its class but in EngineOracle, where a
+    # later copy's verdict is its own, tallied above or unmet
+    for size, (first, verdicts) in zip(marks.sizes, rows):
+        for k, (tally, v) in enumerate(zip(tallies, verdicts)):
+            tally.add(v, first, 1 if k == eo else size)
     return sum(marks.sizes)
 
 
@@ -654,10 +619,10 @@ def _run_bound_checks(ids: Sequence[str], corpus_spec: str, facts: _Facts,
     with _judging(ids, facts, jobs) as judge:
         if orders is not None:
             for n in orders:
-                checked += _order_pass(n, checked, ids, facts, tallies, judge)
+                checked += _order_pass(n, checked, ids, tallies, judge)
             return tallies, checked
-        for index, _, _, verdicts in judge((i, None, g, False)
-                                           for i, g in enumerate(corpus(corpus_spec))):
+        for index, _, verdicts in judge((i, g, False)
+                                        for i, g in enumerate(corpus(corpus_spec))):
             for tally, v in zip(tallies, verdicts):
                 tally.add(v, index)
             checked += 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -294,7 +295,7 @@ def test_brute_force_matches_permutation_filter_on_every_class():
     # one seeded relabeling
     from symlab.verifier import _OrbitMarks
     rng = random.Random(6)
-    firsts = [g for n in range(1, 7) for _, _, g in _OrbitMarks(n).stream() if g is not None]
+    firsts = [g for n in range(1, 7) for _, g in _OrbitMarks(n).stream() if g is not None]
     assert len(firsts) == 143
     for g in firsts:
         sigma = list(range(g.n))
@@ -410,8 +411,8 @@ def _planted_graphs(rng, count: int, max_order: int) -> list:
 
 
 def test_structural_moves_are_automorphisms(rng):
-    # every swap-class transposition, block swap and internal block map that
-    # set-up may seed a level with preserves adjacency and moves its point
+    # every swap-class transposition and block swap that set-up may seed a
+    # level with preserves adjacency and moves its point
     graphs = _planted_graphs(rng, 150, 12)
     graphs += [_oracles.random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.8)))
                for _ in range(100)]
@@ -424,6 +425,28 @@ def test_structural_moves_are_automorphisms(rng):
                 assert aut._is_automorphism(g.adj_bits, (0,) * g.n, sigma), (g.adj, move)
                 moves += 1
     assert moves
+
+
+def test_internal_block_maps_stay_in_swap_classes(rng):
+    # set-up seeds no internal block map: with blocks of at most
+    # BLOCK_LIMIT = 3 vertices, each moves every vertex within its swap
+    # class, whose transpositions come first.  Two 5-cycles through vertex 0
+    # hang two 4-vertex blocks whose reflection swaps non-twins, so a larger
+    # limit fails here
+    from symlab.verifier import _OrbitMarks
+    graphs = _planted_graphs(rng, 400, 12)
+    graphs += [g for n in range(1, 7) for _, g in _OrbitMarks(n).stream() if g is not None]
+    graphs.append(from_edge_list(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                                     (0, 5), (5, 6), (6, 7), (7, 8), (8, 0)]))
+    maps = 0
+    for g in graphs:
+        twins = {v: cls for cls in g.swap_classes for v in cls}
+        for fam in g.block_families:
+            for blk, k in itertools.product(fam.blocks, fam.internal):
+                for u, j in zip(blk, k):
+                    assert u == blk[j] or blk[j] in twins.get(u, ()), (g.adj, blk, k)
+                maps += 1
+    assert maps > 100
 
 
 def test_seeded_group_equals_brute_force(rng):

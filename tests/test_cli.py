@@ -218,6 +218,14 @@ def test_verify_unknown_suite(capsys):
     assert code == 2 and "unknown check id" in err
 
 
+def test_verify_repeated_suite_id_is_usage_error(capsys, no_search):
+    # a check named twice would be judged twice and reported twice
+    for suite, repeated in (("Prop2.2,Prop2.2", "Prop2.2"), ("Cor2.7, Prop2.2,Cor2.7 ", "Cor2.7")):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--corpus", "all-connected:3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err and repr(repeated) in err
+
+
 def test_verify_reports_real_counterexample(capsys):
     # the corona determining equality fails on its default corpus; the CLI
     # must print a replay command and exit 1
@@ -237,33 +245,52 @@ def test_verify_budget_exit(capsys):
     assert code == 3
 
 
-def test_verify_rejudges_a_sample_whose_class_row_came_late(capsys, monkeypatch):
-    # at 10 nodes some classes overrun on their first graph, so their later
-    # copies are judged in index order until one stores a row; a sampled
-    # copy of a class whose row came that late is judged for EngineOracle
-    # again, once the row is there.  Pooled and serial runs print the same
-    import hashlib
+def _count_judgments(monkeypatch) -> tuple[list[int], list[int]]:
+    """The corpus indices judged in full and for EngineOracle alone."""
     import symlab.verifier as verifier
+    full, oracle_only = [], []
+    judge = verifier._verdicts
+
+    def counted(index, g, ids, facts, only=False):
+        (oracle_only if only else full).append(index)
+        return judge(index, g, ids, facts, only)
+
+    monkeypatch.setattr(verifier, "_verdicts", counted)
+    return full, oracle_only
+
+
+def test_verify_class_overrun_stands_for_its_copies(capsys, monkeypatch):
+    # at 10 nodes some classes overrun on their first graph; that overrun
+    # stands for every copy of the class, as a verdict row does, so each of
+    # the 31 classes is judged once and each EngineOracle sample once on its
+    # own.  Pooled and serial runs print the same
+    import hashlib
     argv = ("verify", "--suite", "Prop2.2,EngineOracle", "--corpus", "all-connected:<=5",
             "--budget", "10", "--json")
     code, pooled, _ = run(capsys, *argv, "--jobs", "2")
     assert code == 3
-    oracle_only = []
-    judge = verifier._verdicts
-
-    def counted(index, g, ids, facts, only=False):
-        if only:
-            oracle_only.append(index)
-        return judge(index, g, ids, facts, only)
-
-    monkeypatch.setattr(verifier, "_verdicts", counted)
+    full, oracle_only = _count_judgments(monkeypatch)
     code, serial, _ = run(capsys, *argv, "--jobs", "1")
     assert code == 3 and serial == pooled
-    assert hashlib.sha256(serial.encode()).hexdigest().startswith("e1e4262f91ca746d")
+    assert hashlib.sha256(serial.encode()).hexdigest().startswith("ed59438126acd701")
     assert [(r["status"], r["hypothesis_met"], r["graphs_checked"])
-            for r in json.loads(serial)] == [("budget-exceeded", 524, 772),
+            for r in json.loads(serial)] == [("budget-exceeded", 449, 772),
                                              ("budget-exceeded", 8, 772)]
-    assert oracle_only == [100, 200, 300, 400, 500, 600, 700, 600]
+    assert oracle_only == [100, 200, 300, 400, 500, 600, 700]
+    assert len(full) == len(set(full)) == 31
+
+
+def test_verify_judges_each_class_once_under_a_tight_budget(capsys, monkeypatch):
+    # the 8 bound checks over the 143 classes of order <= 6 at 10 nodes:
+    # one full judgment per class, however many overrun
+    full, _ = _count_judgments(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--suite", "Thm1.1,Prop2.2,Prop2.3,Prop2.4,Prop2.5,"
+                       "Cor2.6,Cor2.7,EngineOracle", "--corpus", "all-connected:<=6",
+                       "--budget", "10", "--json")
+    assert code == 3 and len(full) == 143
+    reports = json.loads(out)
+    assert all(r["status"] == "budget-exceeded" for r in reports)
+    assert [r["hypothesis_met"] for r in reports] == [1, 5762, 1, 5762, 5762, 1, 5762, 273]
 
 
 def test_verify_budget_exceeded_outside_bound_pass(capsys):

@@ -602,7 +602,7 @@ def test_block_prune_matches_brute_force_through_order_7():
     from symlab.verifier import _OrbitMarks
     checked = 0
     for n in range(1, 8):
-        for _, _, g in _OrbitMarks(n).stream():
+        for _, g in _OrbitMarks(n).stream():
             if g is None or not g.block_families:
                 continue
             elements = brute_force_automorphisms(g)
