@@ -12,11 +12,30 @@ vertex coloring, using individualization-refinement backtracking:
   shows (``_structural_moves``).  The group keeps these transversals, one
   per level of this first-path stabilizer chain: its order is the product
   of their sizes, its elements their products.
-* ``point_stabilizer`` derives, with no search, the stabilizer of a point
-  from a group's generators and order by Schreier's lemma.
 * ``AutContext`` keeps one graph's full group and answers colored queries
   with the automorphisms it knows, the full group's generators first,
   before it searches.
+
+A determining set is a base of Aut(G), so ``AutContext.minimum_bases``
+finds the minimum ones by an iterative-deepening base search over sorted
+prefixes P that extends P only by a vertex v above max(P) with two
+properties, both of which keep the least set S of each Aut(G)-orbit of
+minimum determining sets reachable:
+
+* v is moved by the pointwise stabilizer G_P.  A minimum determining set is
+  irredundant: if G_P fixed a member s of S beyond P, S minus s would
+  determine too.
+* v is least in its G_P-orbit.  If h in G_P mapped some u < v onto v, then
+  h^-1(S) would be a set of S's orbit containing P and u, so
+  lexicographically smaller than S.
+
+G_{P+v} is the stabilizer of v in G_P, so ``point_stabilizer`` derives it
+from G_P by Schreier's lemma, with no colored search, and P + v determines
+when v's G_P-orbit has |G_P| points.  The context keeps each prefix's
+stabilizer, so it is derived once however many walks read it
+(notes/decisions.md, "Pointwise stabilizers by Schreier's lemma").  Swap
+classes bound the search's depth and its extensions (notes/decisions.md,
+"Swap classes bound D, det and ρ").
 
 All searches are deterministic (fixed cell selection, vertices branched in
 index order) and guarded by a node budget: exhausting the budget raises,
@@ -255,6 +274,21 @@ def point_stabilizer(n: int, gens: Sequence[Perm], order: int, v: int,
                 h = operator.itemgetter(*h)(k)
                 i = next(itertools.compress(ident, map(operator.ne, h, ident)), None)
     return [k for level in levels.values() for k in level.values()], order
+
+
+def _extensions(g: Graph, prefix: tuple[int, ...], gens: Sequence[Perm]) -> dict[int, int]:
+    """The vertices a prefix may grow by, each with the length of its orbit
+    under the prefix's pointwise stabilizer, which ``gens`` generate."""
+    low = prefix[-1] if prefix else -1
+    # an extension by v leaves out every vertex below v outside the prefix;
+    # past the second such vertex of one swap class, it leaves out two, whose
+    # swap fixes the set pointwise, and so does every larger v: the
+    # extensions stop there
+    left_out = ([u for u in cls if u not in prefix] for cls in g.swap_classes)
+    high = min((out[1] for out in left_out if len(out) > 1), default=g.n)
+    # orbits are sorted tuples, so orbit[0] is the least point of each
+    return {orbit[0]: len(orbit) for orbit in orbit_partition(g.n, gens)
+            if len(orbit) > 1 and low < orbit[0] <= high}
 
 
 def _structural_moves(g: Graph, v: int) -> Iterator[dict[int, int]]:
@@ -584,8 +618,9 @@ def refine(g: Graph, colors: Sequence[int], budget: Budget | None = None) -> tup
 class AutContext:
     """One graph's full automorphism group, kept, the automorphisms it knows
     (the full group's generators, then those its colored queries have
-    found), the partitions those queries have proved rigid, and a node
-    budget that every query spends.  A query whose colors a known
+    found), the partitions those queries have proved rigid, the pointwise
+    stabilizers its base search has derived, and a node budget that every
+    query spends.  A query whose colors a known
     automorphism keeps, or whose partition was proved rigid, is answered
     without a search, for one node (``notes/decisions.md``, "Coset tables,
     twins, swaps and known automorphisms" and "Structural automorphisms
@@ -601,6 +636,9 @@ class AutContext:
             (gen, operator.itemgetter(*gen)) for gen in self.full.generators]
         # rigid colorings, classes renamed by first occurrence
         self._rigid: set[tuple[int, ...]] = set()
+        # per sorted prefix of the base search: its extensions, with their
+        # orbit lengths, and its pointwise stabilizer's generators and order
+        self._branches: dict[tuple[int, ...], tuple] = {}
 
     def first_nontrivial(self, colors: Sequence[int]) -> Perm | None:
         """A nontrivial automorphism that keeps ``colors``, or None."""
@@ -655,3 +693,40 @@ class AutContext:
                     orbit.add(t)
                     frontier.append(t)
         return orbit
+
+    def minimum_bases(self) -> Iterator[tuple[int, ...]]:
+        """The base search's leaves at the least depth that has one, lazily
+        in lexicographic order: the least set of each orbit of minimum
+        determining sets is one (module docstring)."""
+        g = self.graph
+        if self.full.order == 1:
+            yield ()
+            return
+        if not self._branches:
+            gens = self.full.generators
+            self._branches[()] = (_extensions(g, (), gens), gens, self.full.order)
+        for k in range(max(1, sum(len(cls) - 1 for cls in g.swap_classes)), g.n + 1):
+            leaves = self._base_search((), k)
+            first = next(leaves, None)
+            if first is not None:
+                yield first
+                yield from leaves
+                return
+        raise AssertionError("the full vertex set always determines")
+
+    def _base_search(self, prefix: tuple[int, ...], todo: int) -> Iterator[tuple[int, ...]]:
+        # the determining extensions of ``prefix`` by ``todo`` vertices in lex
+        # order; a prefix is kept only once its stabilizer is complete, so a
+        # budget overrun leaves nothing behind
+        exts, gens, order = self._branches[prefix]
+        for v, size in exts.items():
+            ext = prefix + (v,)
+            if todo == 1:
+                # |G_{P+v}| = |G_P| / |v^{G_P}|
+                if size == order:
+                    yield ext
+            else:
+                if ext not in self._branches:
+                    sub, sub_order = point_stabilizer(self.graph.n, gens, order, v, self.budget)
+                    self._branches[ext] = (_extensions(self.graph, ext, sub), sub, sub_order)
+                yield from self._base_search(ext, todo - 1)

@@ -2,7 +2,8 @@
 subset distinguishability, each computed exactly with a verifiable witness.
 
 D and the cost reduce to colored-automorphism queries, the determining
-number to the full group's point stabilizers.  The labeling searches are
+number to the context's base search over the full group's point
+stabilizers (``AutContext.minimum_bases``).  The labeling searches are
 complete backtracking with four prunes:
 
 * dead-end prune: a nontrivial automorphism that preserves the partial
@@ -42,23 +43,6 @@ runs in the full group's base order (``PermGroup.base_order``), where
 refuting takes far fewer nodes (notes/decisions.md, "Kept labelings are
 searched in index order; D alone in base order").
 
-A determining set is a base of Aut(G), so the determining number comes from
-an iterative-deepening base search over sorted prefixes P that extends P
-only by a vertex v above max(P) with two properties, both of which keep the
-least set S of each Aut(G)-orbit of minimum determining sets reachable:
-
-* v is moved by the pointwise stabilizer G_P.  A minimum determining set is
-  irredundant: if G_P fixed a member s of S beyond P, S minus s would
-  determine too.
-* v is least in its G_P-orbit.  If h in G_P mapped some u < v onto v, then
-  h^-1(S) would be a set of S's orbit containing P and u, so
-  lexicographically smaller than S.
-
-G_{P+v} is the stabilizer of v in G_P, so it comes from G_P by Schreier's
-lemma (``aut.point_stabilizer``), with no colored search, and P + v
-determines when v's G_P-orbit has |G_P| points (notes/decisions.md,
-"Pointwise stabilizers by Schreier's lemma").
-
 Swap classes (``Graph.swap_classes``) give all three searches lower bounds,
 since swapping two vertices of one class is an automorphism: a
 distinguishing labeling gives a class's vertices distinct labels, and a
@@ -82,7 +66,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .aut import AutContext, Perm, labeling_colors, orbit_partition, point_stabilizer
+from .aut import AutContext, Perm, labeling_colors
 from .graphs import BlockFamily, Graph, emit_graph6
 
 
@@ -430,74 +414,11 @@ def cost(g: Graph, d: int | None = None, ctx: AutContext | None = None,
     raise AssertionError("no distinguishing labeling found at the known distinguishing number")
 
 
-def _extensions(g: Graph, prefix: tuple[int, ...], gens: Sequence[Perm]) -> dict[int, int]:
-    """The vertices a prefix may grow by, each with the length of its orbit
-    under the prefix's pointwise stabilizer, which ``gens`` generate."""
-    low = prefix[-1] if prefix else -1
-    # an extension by v leaves out every vertex below v outside the prefix;
-    # past the second such vertex of one swap class, it leaves out two, whose
-    # swap fixes the set pointwise, and so does every larger v: the
-    # extensions stop there
-    left_out = ([u for u in cls if u not in prefix] for cls in g.swap_classes)
-    high = min((out[1] for out in left_out if len(out) > 1), default=g.n)
-    # orbits are sorted tuples, so orbit[0] is the least point of each
-    return {orbit[0]: len(orbit) for orbit in orbit_partition(g.n, gens)
-            if len(orbit) > 1 and low < orbit[0] <= high}
-
-
-def _base_search(ctx: AutContext, branches: dict[tuple[int, ...], tuple],
-                 prefix: tuple[int, ...], todo: int) -> Iterator[tuple[int, ...]]:
-    # the determining extensions of ``prefix`` by ``todo`` vertices in lex
-    # order; a closure that called itself would hold ctx in a reference cycle
-    exts, gens, order = branches[prefix]
-    for v, size in exts.items():
-        ext = prefix + (v,)
-        if todo == 1:
-            # |G_{P+v}| = |G_P| / |v^{G_P}|
-            if size == order:
-                yield ext
-        else:
-            if ext not in branches:
-                g = ctx.graph
-                sub, sub_order = point_stabilizer(g.n, gens, order, v, ctx.budget)
-                branches[ext] = (_extensions(g, ext, sub), sub, sub_order)
-            yield from _base_search(ctx, branches, ext, todo - 1)
-
-
-def _minimum_bases(ctx: AutContext) -> Iterator[tuple[int, ...]]:
-    # the base search's leaves at the least depth that has one, in
-    # lexicographic order: the least set of each orbit of minimum determining
-    # sets is one (module docstring)
-    g = ctx.graph
-    if ctx.full.order == 1:
-        yield ()
-        return
-    gens = ctx.full.generators
-    # each prefix's extensions, with their orbit lengths, and its pointwise
-    # stabilizer's generators and order, computed once for every depth
-    branches = {(): (_extensions(g, (), gens), gens, ctx.full.order)}
-    # a determining set leaves out at most one vertex of each swap class
-    for k in range(max(1, sum(len(cls) - 1 for cls in g.swap_classes)), g.n + 1):
-        leaves = _base_search(ctx, branches, (), k)
-        first = next(leaves, None)
-        if first is not None:
-            yield first
-            yield from leaves
-            return
-    raise AssertionError("the full vertex set always determines")
-
-
 def determining_number(g: Graph, ctx: AutContext | None = None) -> tuple[int, tuple[int, ...]]:
-    """Size of a minimum determining set plus the lexicographically least witness.
-
-    Iterative-deepening base search over sorted prefixes P: P grows only by
-    vertices above max(P) that the pointwise stabilizer G_P moves and that are
-    least in their G_P-orbit.  G_P comes from its parent's stabilizer by
-    Schreier's lemma, the root's being the full group, with no colored search;
-    P + v determines when v's orbit has |G_P| points.  The first leaf is
-    the witness.
-    """
-    first = next(_minimum_bases(ctx or AutContext(g)))
+    """Size of a minimum determining set plus the lexicographically least
+    witness: the first leaf of the context's base search
+    (``AutContext.minimum_bases``)."""
+    first = next((ctx or AutContext(g)).minimum_bases())
     return len(first), first
 
 
@@ -515,7 +436,7 @@ def minimum_determining_sets(g: Graph, cap: int = 1000,
         raise ValueError(f"cap must be non-negative, got {cap}")
     ctx = ctx or AutContext(g)
     seen: set[int] = set()
-    for leaf in _minimum_bases(ctx):
+    for leaf in ctx.minimum_bases():
         if sum(1 << v for v in leaf) not in seen:
             seen |= ctx.subset_orbit(leaf)
     n = g.n

@@ -45,7 +45,7 @@ from .aut import (AutContext, Budget, BudgetExceededError, DEFAULT_NODE_BUDGET, 
 from .graphs import (MAX_FAMILY_ORDER, FamilySpec, FamilySpecError, Graph, Graph6Error,
                      corona, emit_graph6, friendship, from_edge_list, hypercube,
                      induced_subgraph, parse_family_spec, parse_graph6)
-from .invariants import (InvariantReport, _distinguishing, _minimum_bases, _subset_witness,
+from .invariants import (InvariantReport, _distinguishing, _subset_witness,
                          cost, determining_number, invariant_report)
 
 
@@ -379,9 +379,6 @@ class _Case(NamedTuple):
     index: int
     ctx: AutContext
     rep: InvariantReport
-    # the det base search's leaves, if a check needs them, in place of every
-    # minimum determining set (notes/decisions.md, "Minimum determining sets from the leaves")
-    leaves: list[tuple[int, ...]]
     facts: _Facts
 
 
@@ -447,7 +444,9 @@ def _check_thm11(c: _Case) -> Verdict:
     if d < 2:
         return _UNMET
     forward = False
-    for A in c.leaves:
+    # the base search's leaves stand for every minimum determining set
+    # (notes/decisions.md, "Minimum determining sets from the leaves")
+    for A in ctx.minimum_bases():
         # A is a minimum determining set, so it determines
         got = _subset_witness(ctx, A, d - 1, determines=True)
         if got is None:
@@ -484,7 +483,7 @@ def _check_cor26(c: _Case) -> Verdict:
     if d < 2:
         return _UNMET
     met = False
-    for A in c.leaves:
+    for A in ctx.minimum_bases():
         sub, index = induced_subgraph(ctx.graph, A)
         if c.facts.d(sub) != d - 1:
             continue
@@ -528,9 +527,7 @@ def _verdicts(index: int, g: Graph, ids: tuple[str, ...], facts: _Facts,
         return [_judged(_engine_oracle, index, g, group)]
     try:
         ctx = AutContext(g, Budget(facts.budget_cap))
-        rep = invariant_report(g, ctx=ctx)
-        leaves = list(_minimum_bases(ctx)) if "Thm1.1" in ids or "Cor2.6" in ids else []
-        case = _Case(index, ctx, rep, leaves, facts)
+        case = _Case(index, ctx, invariant_report(g, ctx=ctx), facts)
         return [_REGISTRY[check].run(case) for check in ids]
     except BudgetExceededError:
         return [_BUDGET] * len(ids)

@@ -200,6 +200,45 @@ def test_listing_makes_no_colored_query(monkeypatch):
     assert calls == []
 
 
+def test_the_context_derives_each_prefix_stabilizer_once(monkeypatch):
+    # the context keeps each prefix's pointwise stabilizer: a second walk
+    # spends no node and yields the same leaves in the same order, and
+    # determining_number then minimum_determining_sets form each Schreier
+    # generator once, exactly those the listing alone forms.  The first leaf
+    # still comes without the others: on Q5 it costs 30 nodes, all 34
+    # leaves 87
+    from symlab import aut, build_family
+    formed = []
+    point_stabilizer = aut.point_stabilizer
+
+    def recorded(n, gens, order, v, budget):
+        formed.append((tuple(gens), v))
+        return point_stabilizer(n, gens, order, v, budget)
+
+    monkeypatch.setattr(aut, "point_stabilizer", recorded)
+    for spec in ("hypercube:5", "hypercube:6", "friendship:5", "cycle:12",
+                 "corona:(path:4),(complete:3)"):
+        g = build_family(spec)
+        ctx = AutContext(g)
+        setup = ctx.budget.used
+        next(ctx.minimum_bases())
+        first = ctx.budget.used - setup
+        leaves = list(ctx.minimum_bases())
+        walked = ctx.budget.used
+        assert list(ctx.minimum_bases()) == leaves and ctx.budget.used == walked
+        if spec == "hypercube:5":
+            assert (first, walked - setup, len(leaves)) == (30, 87, 34)
+        formed.clear()
+        ctx = AutContext(g)
+        alone = minimum_determining_sets(g, ctx=ctx)
+        listing, spent = list(formed), ctx.budget.used
+        formed.clear()
+        ctx = AutContext(g)
+        determining_number(g, ctx=ctx)
+        assert minimum_determining_sets(g, ctx=ctx) == alone
+        assert sorted(formed) == sorted(listing) and ctx.budget.used == spent, spec
+
+
 def test_stabilizer_chain_equals_the_colored_group(rng):
     # the pointwise stabilizer of a sorted prefix, derived from the full group
     # one point at a time by Schreier's lemma, has the order and the orbits of

@@ -351,7 +351,7 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
     assert sizes == [3]
     assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
     # under a tight budget some classes overrun, and that overrun stands for
-    # their copies in both paths; 30 nodes is under a third of what the
+    # their copies in both paths; 30 nodes is well under the 50 that the
     # costliest graph needs
     serial = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5", budget=30)
     pooled = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=5", budget=30, jobs=2)
@@ -391,12 +391,10 @@ def test_thm11_widening_is_used(tmp_path, monkeypatch):
     # whether its labeling distinguishes it: no colored group is built
     import symlab as sl
     import symlab.verifier as verifier
-    from symlab import invariants
     g = sl.parse_graph6("Eia?")
     facts = verifier._Facts(verifier.DEFAULT_NODE_BUDGET)
     ctx = sl.AutContext(g, sl.Budget())
-    case = verifier._Case(0, ctx, sl.invariant_report(g, ctx=ctx),
-                          list(invariants._minimum_bases(ctx)), facts)
+    case = verifier._Case(0, ctx, sl.invariant_report(g, ctx=ctx), facts)
     groups = _count_calls(monkeypatch, sl.AutContext, "group")
     assert verifier._check_thm11(case) == (True, "widened", None)
     assert groups == []
@@ -406,13 +404,13 @@ def test_thm11_and_cor26_judge_the_leaves_as_every_minimum_set():
     # the det base search's leaves hold the lex-least set of each orbit of
     # minimum determining sets, so Thm1.1 and Cor2.6, whose verdicts hold for
     # the images of a set too, give from the leaves the verdicts they give
-    # from every det-set that determines: on a graph of each class of order
-    # <= 5, the double star, and relabeled friendship:4, Q3, C6 and P3 o K2
+    # from every det-set that determines, handed in as the context's
+    # minimum_bases: on a graph of each class of order <= 5, the double
+    # star, and relabeled friendship:4, Q3, C6 and P3 o K2
     import itertools
     import random
     import symlab as sl
     import symlab.verifier as verifier
-    from symlab import invariants
     graphs = {_oracles.brute_canonical(g): g for g in corpus("all-connected:<=5")}
     graphs = [*graphs.values(), sl.parse_graph6("Eia?")]  # the double star widens Thm1.1
     assert len(graphs) == 32
@@ -425,16 +423,59 @@ def test_thm11_and_cor26_judge_the_leaves_as_every_minimum_set():
     for g in graphs:
         ctx = sl.AutContext(g)
         rep = sl.invariant_report(g, ctx=ctx)
-        leaves = list(invariants._minimum_bases(ctx))
+        leaves = list(ctx.minimum_bases())
         every = [s for s in itertools.combinations(range(g.n), rep.determining_number)
                  if ctx.pointwise_trivial(s)]
         assert set(leaves) <= set(every)
         elements = list(sl.enumerate_elements(ctx.full))
         assert {min(tuple(sorted(p[v] for v in s)) for p in elements)
                 for s in every} <= set(leaves), g.adj
+        case = verifier._Case(0, ctx, rep, facts)
         for check in (verifier._check_thm11, verifier._check_cor26):
-            assert (check(verifier._Case(0, ctx, rep, leaves, facts))
-                    == check(verifier._Case(0, ctx, rep, every, facts))), (g.adj, check)
+            from_leaves = check(case)
+            ctx.minimum_bases = lambda: iter(every)
+            from_every = check(case)
+            del ctx.minimum_bases
+            assert from_leaves == from_every, (g.adj, check)
+
+
+def test_the_bound_pass_forms_each_schreier_generator_once(monkeypatch):
+    # a context keeps the det base search's stabilizers, so Thm1.1 and
+    # Cor2.6 walk on from the first leaf that the report's det took, and
+    # form none of its Schreier generators again.  Over the 157 contexts of
+    # the 8 bound checks on order <= 6 at the default budget the pass spends
+    # 3,203 nodes; forgetting the stabilizers after each report costs 312
+    # more, those of the first walks, and keeping them raises no context's
+    # count
+    import symlab.aut as aut
+    import symlab.verifier as verifier
+    contexts = []
+    init = aut.AutContext.__init__
+
+    def recorded(self, g, budget=None):
+        init(self, g, budget)
+        contexts.append(self)
+
+    def bound_pass():
+        contexts.clear()
+        reports = run_suite(_BOUND_CHECKS, corpus_override="all-connected:<=6")
+        return [r.to_dict() for r in reports], [c.budget.used for c in contexts]
+
+    monkeypatch.setattr(aut.AutContext, "__init__", recorded)
+    kept, kept_used = bound_pass()
+    report = verifier.invariant_report
+
+    def forgetting(g, ctx):
+        rep = report(g, ctx=ctx)
+        ctx._branches.clear()
+        return rep
+
+    monkeypatch.setattr(verifier, "invariant_report", forgetting)
+    forgot, forgot_used = bound_pass()
+    assert kept == forgot
+    assert len(kept_used) == len(forgot_used) == 157
+    assert (sum(kept_used), sum(forgot_used)) == (3_203, 3_515)
+    assert all(a <= b for a, b in zip(kept_used, forgot_used))
 
 
 def test_report_dict_shape():
